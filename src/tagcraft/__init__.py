@@ -31,7 +31,6 @@ from .model import (
     Category,
     ConfusionMatrix,
     Document,
-    LabeledDocument,
     Provenance,
     RefinementConfig,
     SamplingStrategy,
@@ -74,7 +73,6 @@ __all__ = [
     "ExperimentPlan",
     "ExperimentResult",
     "HttpBackend",
-    "LabeledDocument",
     "MockBackend",
     "PromptRequest",
     "Provenance",

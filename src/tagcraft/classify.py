@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence, Union
 
 from .backends.base import Backend, ScoreMap, ScoringPath
 from .errors import ClassificationError, EmptyTaxonomyError, FallbackParseError, PromptBudgetError
+from .fanout import ordered_map
 from .model import Document, Taxonomy
 from .prompts import TemplateId, render
 
@@ -55,13 +55,35 @@ def classify(
     """Score every category for the document and return the argmax, with ties
     broken deterministically by taxonomy order.
     """
-    if len(taxonomy) == 0:
+    return _classify(
+        document,
+        taxonomy.names(),
+        descriptor_block(taxonomy),
+        backend,
+        templates_dir=templates_dir,
+        max_prompt_chars=max_prompt_chars,
+    )
+
+
+def _classify(
+    document: Document,
+    names: Sequence[str],
+    block: str,
+    backend: Backend,
+    *,
+    templates_dir: str | Path | None,
+    max_prompt_chars: int,
+) -> ClassificationResult:
+    """classify() against a taxonomy given as its names and descriptor block,
+    so a batch builds both once.
+    """
+    if not names:
         raise EmptyTaxonomyError("cannot classify against an empty taxonomy")
     if not document.text or not document.text.strip():
         raise ValueError(f"document {document.id!r} has empty text")
     request = render(
         TemplateId.CLASSIFY,
-        {"document": document.text, "descriptor_block": descriptor_block(taxonomy)},
+        {"document": document.text, "descriptor_block": block},
         templates_dir=templates_dir,
     )
     if len(request.user_text) > max_prompt_chars:
@@ -69,7 +91,6 @@ def classify(
             f"classification prompt is {len(request.user_text)} chars; "
             f"budget is {max_prompt_chars} (descriptions are never truncated)"
         )
-    names = list(taxonomy.names())
     try:
         score_map = backend.score_labels(request, names)
     except FallbackParseError as err:
@@ -115,12 +136,15 @@ def classify_batch(
     """
     if not documents:
         return []
+    names = taxonomy.names()
+    block = descriptor_block(taxonomy)
 
     def one(document: Document) -> BatchItem:
         try:
-            return classify(
+            return _classify(
                 document,
-                taxonomy,
+                names,
+                block,
                 backend,
                 templates_dir=templates_dir,
                 max_prompt_chars=max_prompt_chars,
@@ -128,5 +152,4 @@ def classify_batch(
         except Exception as err:
             return ClassificationFailure(document.id, str(err), err)
 
-    with ThreadPoolExecutor(max_workers=max(1, concurrency_cap)) as pool:
-        return list(pool.map(one, documents))
+    return ordered_map(one, documents, concurrency_cap)

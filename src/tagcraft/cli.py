@@ -22,6 +22,7 @@ from .classify import classify as classify_document
 from .datasets import load_agnews, load_dbpedia, load_generic_csv
 from .describe import SamplePlan, bootstrap_taxonomy, contrast_taxonomy
 from .errors import TagcraftError
+from .fileio import write_text_atomic
 from .model import (
     Document,
     RefinementConfig,
@@ -178,7 +179,7 @@ def bootstrap(state: CliState, dataset_path, fmt, labels, n_samples, strategy, o
     )
     save_taxonomy(taxonomy, out_path)
     map_file = Path(map_path) if map_path else Path(out_path).with_suffix(".labels.json")
-    map_file.write_text(json.dumps(mapping, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text_atomic(map_file, json.dumps(mapping, indent=2, sort_keys=True) + "\n")
     click.echo(f"wrote {out_path} ({len(taxonomy)} categories); label map: {map_file}")
 
 
@@ -257,7 +258,7 @@ def refine(state: CliState, taxonomy_path, validate_path, fmt, label_map, thresh
             for record in report.per_iteration
         ],
     }
-    report_file.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text_atomic(report_file, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     click.echo(
         f"stopped after {report.iterations_run} iteration(s): {report.stop_reason.value}; "
         f"taxonomy -> {out_path or taxonomy_path}, report -> {report_file}"

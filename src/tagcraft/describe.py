@@ -11,6 +11,7 @@ from typing import Iterable, Sequence
 from .backends.base import Backend
 from .errors import ContrastDroppedAllError, NoDocumentsError
 from .extraction import descriptor_to_json, request_descriptor, request_descriptor_set
+from .fanout import ordered_map
 from .model import (
     Document,
     Provenance,
@@ -78,6 +79,7 @@ def bootstrap_taxonomy(
     plan: SamplePlan,
     backend: Backend,
     *,
+    concurrency_cap: int = 4,
     templates_dir: str | Path | None = None,
 ) -> tuple[Taxonomy, dict[str, str]]:
     """Bootstrap one category per label and return the taxonomy together with
@@ -86,17 +88,24 @@ def bootstrap_taxonomy(
     Generated names replace the source labels, so callers that hold labeled
     documents must translate gold labels through the mapping before
     validation or evaluation. A generated name colliding with an earlier
-    category gets a numeric suffix.
+    category gets a numeric suffix. The per-label completions run
+    concurrently; names and suffixes are assigned in label order.
     """
     grouped = group_by_label(documents)
-    taxonomy = Taxonomy()
-    mapping: dict[str, str] = {}
+    samples = []
     for label in labels:
         docs = grouped.get(label)
         if not docs:
             raise NoDocumentsError(f"no documents labeled {label!r}")
-        samples = sample_bootstrap(docs, plan)
-        descriptor = bootstrap_category(samples, backend, templates_dir=templates_dir)
+        samples.append(sample_bootstrap(docs, plan))
+    descriptors = ordered_map(
+        lambda chosen: bootstrap_category(chosen, backend, templates_dir=templates_dir),
+        samples,
+        concurrency_cap,
+    )
+    taxonomy = Taxonomy()
+    mapping: dict[str, str] = {}
+    for label, descriptor in zip(labels, descriptors):
         if taxonomy.get(descriptor.topic_name) is not None:
             base = descriptor.topic_name
             suffix = 2
@@ -118,12 +127,14 @@ def contrast_taxonomy(
     backend: Backend,
     *,
     batch_size: int = CONTRAST_BATCH_SIZE,
+    concurrency_cap: int = 4,
     templates_dir: str | Path | None = None,
 ) -> Taxonomy:
     """Rewrite every description so that each category states how it differs
     from the others. Category names, count, and order never change; replies
     naming unknown categories are ignored; categories missing from the reply
-    keep their current description.
+    keep their current description. Batches are requested concurrently and
+    merged in batch order, so the first reply naming a category wins.
 
     Raises:
         ContrastDroppedAllError: when no reply matched any existing name;
@@ -132,17 +143,22 @@ def contrast_taxonomy(
     if len(taxonomy) < 2:
         raise ValueError("contrast requires at least two categories")
     name_list = ", ".join(taxonomy.names())
-    updates: list[TopicDescriptor] = []
-    matched: set[int] = set()
     categories = list(taxonomy.categories)
+    requests = []
     for start in range(0, len(categories), max(1, batch_size)):
         batch = categories[start : start + batch_size]
         block = "\n\n".join(descriptor_to_json(c.descriptor) for c in batch)
         binding = f"All categories: {name_list}\n\n{block}"
-        request = render(
-            TemplateId.CONTRAST, {"category": binding}, templates_dir=templates_dir
+        requests.append(
+            render(TemplateId.CONTRAST, {"category": binding}, templates_dir=templates_dir)
         )
-        for descriptor in request_descriptor_set(backend, request):
+    replies = ordered_map(
+        lambda request: request_descriptor_set(backend, request), requests, concurrency_cap
+    )
+    updates: list[TopicDescriptor] = []
+    matched: set[int] = set()
+    for reply in replies:
+        for descriptor in reply:
             index = taxonomy.index_of(descriptor.topic_name)
             if index is None:
                 logger.warning(

@@ -29,6 +29,7 @@ from .datasets import (
 )
 from .describe import SamplePlan, bootstrap_taxonomy, contrast_taxonomy
 from .errors import SchemaError
+from .fileio import write_text_atomic
 from .model import (
     ConfusionMatrix,
     Document,
@@ -217,6 +218,9 @@ def run_experiment(
 
     With a checkpoint_dir, the working taxonomy is re-saved after every
     pipeline stage so a mid-run failure leaves partial artifacts behind.
+
+    concurrency_cap bounds the backend calls in flight in every stage; the
+    outputs are the same as with concurrency_cap=1.
     """
 
     def checkpoint(taxonomy: Taxonomy) -> None:
@@ -238,11 +242,18 @@ def run_experiment(
     sample_plan = SamplePlan(config.sampling_strategy, plan.n_bootstrap, config.seed)
     train_docs = [doc for label in plan.seen_labels for doc in split.seen_train[label]]
     taxonomy, label_names = bootstrap_taxonomy(
-        train_docs, plan.seen_labels, sample_plan, backend, templates_dir=templates_dir
+        train_docs,
+        plan.seen_labels,
+        sample_plan,
+        backend,
+        concurrency_cap=concurrency_cap,
+        templates_dir=templates_dir,
     )
     checkpoint(taxonomy)
     if len(taxonomy) >= 2:
-        taxonomy = contrast_taxonomy(taxonomy, backend, templates_dir=templates_dir)
+        taxonomy = contrast_taxonomy(
+            taxonomy, backend, concurrency_cap=concurrency_cap, templates_dir=templates_dir
+        )
         checkpoint(taxonomy)
 
     validation = [
@@ -281,6 +292,7 @@ def run_experiment(
             backend,
             run_contrast=True,
             sample_docs=list(split.unseen_bootstrap.get(label, ())),
+            concurrency_cap=concurrency_cap,
             templates_dir=templates_dir,
         )
         label_names[label] = rough.topic_name
@@ -427,29 +439,31 @@ def persist_result(
     result: ExperimentResult, out_dir: str | Path, *, write_taxonomy: bool = True
 ) -> Path:
     """Write report.json (and predictions.jsonl, taxonomy.json) into out_dir.
-    Output is deterministic: no timestamps, sorted keys.
+    Output is deterministic: no timestamps, sorted keys. Each file is
+    replaced atomically.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.json"
-    report_path.write_text(
-        json.dumps(result_to_dict(result), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
+    write_text_atomic(
+        report_path, json.dumps(result_to_dict(result), sort_keys=True, indent=2) + "\n"
     )
-    with (out / "predictions.jsonl").open("w", encoding="utf-8") as handle:
-        for record in result.predictions:
-            handle.write(
-                json.dumps(
-                    {
-                        "id": record.document_id,
-                        "gold": record.gold,
-                        "predicted": record.predicted,
-                        "phase": record.phase.value,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
+    write_text_atomic(
+        out / "predictions.jsonl",
+        "".join(
+            json.dumps(
+                {
+                    "id": record.document_id,
+                    "gold": record.gold,
+                    "predicted": record.predicted,
+                    "phase": record.phase.value,
+                },
+                sort_keys=True,
             )
+            + "\n"
+            for record in result.predictions
+        ),
+    )
     if write_taxonomy:
         save_taxonomy(result.taxonomy, out / "taxonomy.json")
     return report_path

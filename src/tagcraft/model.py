@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import EmptyNameError, FileIOError, SchemaError
+from .fileio import write_text_atomic
 
 _WHITESPACE_RUN = re.compile(r"\s+")
 
@@ -199,10 +200,6 @@ class Document:
     gold_label: str | None = None
 
 
-# A Document whose gold_label is expected to be set.
-LabeledDocument = Document
-
-
 @dataclass
 class ConfusionMatrix:
     """Counts of (gold, predicted) pairs from a validation or test pass."""
@@ -334,10 +331,10 @@ def taxonomy_from_dict(data: Mapping) -> Taxonomy:
 
 
 def save_taxonomy(taxonomy: Taxonomy, path: str | Path) -> None:
+    """Write the taxonomy as JSON, atomically replacing any previous file."""
     try:
-        Path(path).write_text(
-            json.dumps(taxonomy_to_dict(taxonomy), ensure_ascii=False, indent=2) + "\n",
-            encoding="utf-8",
+        write_text_atomic(
+            path, json.dumps(taxonomy_to_dict(taxonomy), ensure_ascii=False, indent=2) + "\n"
         )
     except OSError as err:
         raise FileIOError(f"cannot write taxonomy to {path}: {err}") from err

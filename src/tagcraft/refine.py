@@ -14,9 +14,9 @@ import logging
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
-from .backends.base import Backend
+from .backends.base import Backend, PromptRequest
 from .classify import ClassificationFailure, classify_batch
 from .errors import (
     MissingSamplesError,
@@ -25,6 +25,7 @@ from .errors import (
     UnknownGoldLabelError,
 )
 from .extraction import descriptor_to_json, request_descriptor
+from .fanout import ordered_map
 from .model import (
     Category,
     ConfusionMatrix,
@@ -41,6 +42,9 @@ from .prompts import TemplateId, format_sample_block, render
 from .runlog import RunLog, prompt_sha256
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass
@@ -168,33 +172,31 @@ def refine_description(
         },
         templates_dir=templates_dir,
     )
-    try:
-        descriptor = request_descriptor(backend, request)
-    except Exception:
-        if log:
-            log.emit(
-                "refine",
-                iteration=iteration,
-                category=category.name,
-                prompt_hash=prompt_sha256(request.user_text),
-                ok=False,
-            )
-        raise
+    descriptor = _logged_request(
+        backend, request, log, "refine", iteration=iteration, category=category.name
+    )
     if name_key(descriptor.topic_name) != name_key(category.name):
         logger.info(
             "refine reply renamed %r to %r; name overridden back",
             category.name,
             descriptor.topic_name,
         )
-    descriptor = replace(descriptor, topic_name=category.name)
-    if log:
-        log.emit(
-            "refine",
-            iteration=iteration,
-            category=category.name,
-            prompt_hash=prompt_sha256(request.user_text),
-            ok=True,
-        )
+    return replace(descriptor, topic_name=category.name)
+
+
+def _logged_request(
+    backend: Backend, request: PromptRequest, log: RunLog | None, stage: str, **fields
+) -> TopicDescriptor:
+    """request_descriptor plus one run-log event carrying the prompt hash and
+    whether a descriptor came back.
+    """
+    ok = False
+    try:
+        descriptor = request_descriptor(backend, request)
+        ok = True
+    finally:
+        if log:
+            log.emit(stage, prompt_hash=prompt_sha256(request.user_text), ok=ok, **fields)
     return descriptor
 
 
@@ -254,30 +256,85 @@ def adapt_pair(
         },
         templates_dir=templates_dir,
     )
-    try:
-        descriptor = request_descriptor(backend, request)
-    except Exception:
-        if log:
-            log.emit(
-                "adapt",
-                iteration=iteration,
-                category=correct_category.name,
-                pair=(pair.correct, pair.wrong),
-                prompt_hash=prompt_sha256(request.user_text),
-                ok=False,
-            )
-        raise
+    descriptor = _logged_request(
+        backend,
+        request,
+        log,
+        "adapt",
+        iteration=iteration,
+        category=correct_category.name,
+        pair=(pair.correct, pair.wrong),
+    )
     descriptor = replace(descriptor, topic_name=correct_category.name)
-    if log:
-        log.emit(
-            "adapt",
-            iteration=iteration,
-            category=correct_category.name,
-            pair=(pair.correct, pair.wrong),
-            prompt_hash=prompt_sha256(request.user_text),
-            ok=True,
-        )
     return taxonomy_upsert(taxonomy, descriptor, Stage.ADAPT, iteration)
+
+
+def _wave(
+    run: Callable[[T, RunLog | None], R],
+    items: Sequence[T],
+    log: RunLog | None,
+    concurrency_cap: int,
+) -> Iterator[tuple[T, R]]:
+    """Call ``run(item, item_log)`` for every item concurrently; once all
+    calls have finished, yield ``(item, result)`` in item order, appending
+    each item's log events to ``log`` just before its result. The first
+    failure in item order ends the wave: its events are appended and its
+    exception raised, and the results and events of later items are dropped,
+    exactly as if the items had run one after another.
+    """
+    logs = [RunLog.in_memory() if log else None for _ in items]
+
+    def attempt(index: int) -> tuple[R | None, Exception | None]:
+        try:
+            return run(items[index], logs[index]), None
+        except Exception as err:
+            return None, err
+
+    outcomes = ordered_map(attempt, range(len(items)), concurrency_cap)
+    for item, item_log, (result, error) in zip(items, logs, outcomes):
+        if item_log is not None:
+            log.append(item_log)
+        if error is not None:
+            raise error
+        yield item, result
+
+
+def _adapt_wave(
+    pairs: Sequence[ConfusionPair],
+    outcome: ValidationOutcome,
+    taxonomy: Taxonomy,
+    record: IterationRecord,
+    backend: Backend,
+    *,
+    template: TemplateId,
+    concurrency_cap: int,
+    templates_dir: str | Path | None,
+    log: RunLog | None,
+) -> Taxonomy:
+    """Adapt every pair against one taxonomy snapshot and apply the new
+    descriptors in pair order. An adaptation prompt reads only the pair's
+    names and the validation outcome, never a description, so the pairs do
+    not depend on one another.
+    """
+
+    def adapt(pair: ConfusionPair, pair_log: RunLog | None) -> Taxonomy:
+        return adapt_pair(
+            pair,
+            outcome,
+            taxonomy,
+            backend,
+            iteration=record.index,
+            template=template,
+            templates_dir=templates_dir,
+            log=pair_log,
+        )
+
+    current = taxonomy
+    for pair, result in _wave(adapt, pairs, log, concurrency_cap):
+        descriptor = result.get(pair.correct).descriptor
+        current = taxonomy_upsert(current, descriptor, Stage.ADAPT, record.index)
+        record.adapted.append(pair)
+    return current
 
 
 def _validation_subset(
@@ -331,7 +388,9 @@ def refine_loop(
     Per iteration: validate; stop with THRESHOLD_MET when the minimum
     per-category accuracy reaches the threshold; otherwise refine every
     below-threshold category, adapt the mined confusion pairs, and continue.
-    Exhausting the iteration budget stops with MAX_ITERATIONS.
+    Exhausting the iteration budget stops with MAX_ITERATIONS. The refines of
+    one iteration run concurrently from the same snapshot, then the
+    adaptations do; both are applied and logged in taxonomy / pair order.
 
     On a stage failure the partial iteration records are attached to a
     RefinementAbortedError whose __cause__ is the original error.
@@ -361,55 +420,57 @@ def refine_loop(
             if minimum >= config.accuracy_threshold:
                 stop = StopReason.THRESHOLD_MET
                 break
-            for name in current.names():
-                accuracy = accuracies.get(name)
-                if accuracy is None or accuracy >= config.accuracy_threshold:
-                    continue
-                category = current.get(name)
-                assert category is not None
-                descriptor = refine_description(
+            below = [
+                category
+                for category in current.categories
+                if accuracies.get(category.name) is not None
+                and accuracies[category.name] < config.accuracy_threshold
+            ]
+
+            def refine(category: Category, category_log: RunLog | None) -> TopicDescriptor:
+                return refine_description(
                     category,
-                    outcome.correct.get(name, []),
-                    outcome.misclassified.get(name, []),
+                    outcome.correct.get(category.name, []),
+                    outcome.misclassified.get(category.name, []),
                     backend,
                     templates_dir=templates_dir,
-                    log=log,
+                    log=category_log,
                     iteration=iteration,
                 )
+
+            for category, descriptor in _wave(refine, below, log, concurrency_cap):
                 current = taxonomy_upsert(current, descriptor, Stage.REFINE, iteration)
-                record.refined.append(name)
+                record.refined.append(category.name)
             if not config.adapt_after_loop:
                 pairs = mine_confusion_pairs(
                     outcome.matrix, config.min_confusion_count, config.top_k_pairs
                 )
-                for pair in pairs:
-                    current = adapt_pair(
-                        pair,
-                        outcome,
-                        current,
-                        backend,
-                        iteration=iteration,
-                        template=adapt_template,
-                        templates_dir=templates_dir,
-                        log=log,
-                    )
-                    record.adapted.append(pair)
+                current = _adapt_wave(
+                    pairs,
+                    outcome,
+                    current,
+                    record,
+                    backend,
+                    template=adapt_template,
+                    concurrency_cap=concurrency_cap,
+                    templates_dir=templates_dir,
+                    log=log,
+                )
         if config.adapt_after_loop and last_outcome is not None and records:
             pairs = mine_confusion_pairs(
                 last_outcome.matrix, config.min_confusion_count, config.top_k_pairs
             )
-            for pair in pairs:
-                current = adapt_pair(
-                    pair,
-                    last_outcome,
-                    current,
-                    backend,
-                    iteration=records[-1].index,
-                    template=adapt_template,
-                    templates_dir=templates_dir,
-                    log=log,
-                )
-                records[-1].adapted.append(pair)
+            current = _adapt_wave(
+                pairs,
+                last_outcome,
+                current,
+                records[-1],
+                backend,
+                template=adapt_template,
+                concurrency_cap=concurrency_cap,
+                templates_dir=templates_dir,
+                log=log,
+            )
     except Exception as err:
         raise RefinementAbortedError(
             f"refinement aborted at iteration {len(records)}: {err}", records

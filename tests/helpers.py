@@ -31,7 +31,9 @@ CANNED_DESCRIPTOR = '{"topic_name": "Scripted", "topic_description": "scripted u
 
 class StubBackend(Backend):
     """Backend returning scripted completions (last one repeats) and scores
-    from an optional callable. Records every prompt it saw.
+    from an optional callable. Records every prompt it saw. Safe to share
+    across threads; under concurrent callers the order of ``prompts`` and of
+    the scripted replies follows arrival order.
     """
 
     def __init__(
@@ -44,21 +46,24 @@ class StubBackend(Backend):
         self._score_fn = score_fn
         self.prompts: list[str] = []
         self.score_calls = 0
+        self._lock = threading.Lock()
 
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities(supports_label_scoring=self._score_fn is not None, model_id="stub")
 
     def complete(self, request: PromptRequest) -> str:
-        self.prompts.append(request.user_text)
-        if not self._completions:
-            raise AssertionError("StubBackend has no scripted completions")
-        item = self._completions[min(self._cursor, len(self._completions) - 1)]
-        self._cursor += 1
+        with self._lock:
+            self.prompts.append(request.user_text)
+            if not self._completions:
+                raise AssertionError("StubBackend has no scripted completions")
+            item = self._completions[min(self._cursor, len(self._completions) - 1)]
+            self._cursor += 1
         return item(request) if callable(item) else item
 
     def score_labels(self, request: PromptRequest, candidates) -> ScoreMap:
         names = check_candidates(candidates)
-        self.score_calls += 1
+        with self._lock:
+            self.score_calls += 1
         if self._score_fn is None:
             raise AssertionError("StubBackend has no score function")
         return ScoreMap(scores=self._score_fn(request, names), path=ScoringPath.MOCK)
@@ -89,7 +94,8 @@ class ScriptedAccuracyBackend(Backend):
         return BackendCapabilities(supports_label_scoring=True, model_id="scripted")
 
     def complete(self, request: PromptRequest) -> str:
-        self.complete_calls += 1
+        with self._lock:
+            self.complete_calls += 1
         return CANNED_DESCRIPTOR
 
     def score_labels(self, request: PromptRequest, candidates) -> ScoreMap:
@@ -158,6 +164,28 @@ def keyword_documents(
                     gold_label=label,
                 )
             )
+    return documents
+
+
+def paired_documents(n_pairs: int, per_class: int, seed: int = 0) -> list[Document]:
+    """Classes in pairs (``Pair0X``/``Pair0Y``, ...) whose documents all carry
+    the pair's two anchor words and mostly share its vocabulary. Both classes
+    of a pair bootstrap to the same name (the second gets ``_2``), and
+    validation confuses them, so refine and adapt really run.
+    """
+    rng = random.Random(seed)
+    documents = []
+    for p in range(n_pairs):
+        prefix = _PREFIXES[p % len(_PREFIXES)]
+        anchors = [f"{prefix}anchor", f"{prefix}key"]
+        shared = [f"{prefix}{j}" for j in range(10)]
+        for side in "xy":
+            label = f"Pair{p}{side.upper()}"
+            own = [f"{prefix}{side}{j}" for j in range(6)]
+            for k in range(per_class):
+                words = anchors + rng.sample(shared, 5) + rng.sample(own, 2)
+                rng.shuffle(words)
+                documents.append(Document(id=f"{label}-{k}", text=" ".join(words), gold_label=label))
     return documents
 
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import errno
 import json
+import stat
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -210,6 +213,46 @@ def test_load_rejects_mismatched_current_descriptor(tmp_path) -> None:
 def test_load_missing_file_raises_io_error(tmp_path) -> None:
     with pytest.raises(FileIOError):
         load_taxonomy(tmp_path / "absent.json")
+
+
+def test_save_failing_part_way_leaves_previous_file_and_no_temp(tmp_path, monkeypatch) -> None:
+    path = tmp_path / "t.json"
+    save_taxonomy(Taxonomy(), path)
+    before = path.read_bytes()
+    real_open = Path.open
+
+    def torn_open(self, *args, **kwargs):
+        handle = real_open(self, *args, **kwargs)
+        write = handle.write
+
+        def write_half_then_fail(text: str) -> int:
+            write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+        handle.write = write_half_then_fail
+        return handle
+
+    monkeypatch.setattr(Path, "open", torn_open)
+    bigger = taxonomy_upsert(Taxonomy(), TopicDescriptor("Alpha", "a" * 1000), Stage.BOOTSTRAP, 0)
+    with pytest.raises(FileIOError):
+        save_taxonomy(bigger, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+
+
+def test_save_writes_through_a_symlink_and_keeps_permissions(tmp_path) -> None:
+    real = tmp_path / "real.json"
+    save_taxonomy(Taxonomy(), real)
+    real.chmod(0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    taxonomy = taxonomy_upsert(Taxonomy(), TopicDescriptor("Alpha", "a"), Stage.BOOTSTRAP, 0)
+    save_taxonomy(taxonomy, link)
+    assert link.is_symlink()
+    assert load_taxonomy(real).names() == ("Alpha",)
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
 
 
 _names = st.lists(
