@@ -42,6 +42,10 @@ Completions
     Unknown prompts fall back to whole-prompt keyword extraction. Keyword
     ranking is by descending frequency; ties break on a stable hash salted
     with the mock seed.
+
+    The contrast and refine handlers find the descriptors in the prompt with
+    ``tagcraft.extraction.extract_descriptor_set``, so a change to extraction
+    also moves the mock's completion time.
 """
 
 from __future__ import annotations

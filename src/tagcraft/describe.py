@@ -137,15 +137,18 @@ def contrast_taxonomy(
     merged in batch order, so the first reply naming a category wins.
 
     Raises:
+        ValueError: fewer than two categories, or ``batch_size`` below 1.
         ContrastDroppedAllError: when no reply matched any existing name;
             the input taxonomy is returned unchanged to the caller's hands.
     """
     if len(taxonomy) < 2:
         raise ValueError("contrast requires at least two categories")
+    if batch_size < 1:
+        raise ValueError(f"contrast batch_size must be at least 1, got {batch_size}")
     name_list = ", ".join(taxonomy.names())
     categories = list(taxonomy.categories)
     requests = []
-    for start in range(0, len(categories), max(1, batch_size)):
+    for start in range(0, len(categories), batch_size):
         batch = categories[start : start + batch_size]
         block = "\n\n".join(descriptor_to_json(c.descriptor) for c in batch)
         binding = f"All categories: {name_list}\n\n{block}"

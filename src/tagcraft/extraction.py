@@ -24,18 +24,26 @@ REPAIR_INSTRUCTION = "Return only the JSON object."
 MAX_REPAIR_RETRIES = 2
 
 
+# Per opener, the only characters that can change a span scan's state; the
+# scans jump from one to the next instead of visiting every character.
+_STRING_AWARE_STOPS = {"{": re.compile(r'[{}"\\]'), "[": re.compile(r'[\[\]"\\]')}
+_BRACE_ONLY_STOPS = {"{": re.compile(r"[{}]"), "[": re.compile(r"[\[\]]")}
+
+
 def _string_aware_spans(text: str, opener: str, closer: str) -> Iterator[tuple[int, int]]:
     """Yield top-level balanced spans, tracking JSON string literals."""
     depth = 0
     start = -1
     in_string = False
-    escaped = False
-    for i, ch in enumerate(text):
+    escaped_at = -1  # index of the character consumed by an escape
+    for match in _STRING_AWARE_STOPS[opener].finditer(text):
+        i = match.start()
+        ch = text[i]
         if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
+            if i == escaped_at:
+                continue
+            if ch == "\\":
+                escaped_at = i + 1
             elif ch == '"':
                 in_string = False
             continue
@@ -55,7 +63,9 @@ def _brace_only_spans(text: str, opener: str, closer: str) -> Iterator[tuple[int
     """Same scan ignoring string literals; rescues inputs with stray quotes."""
     depth = 0
     start = -1
-    for i, ch in enumerate(text):
+    for match in _BRACE_ONLY_STOPS[opener].finditer(text):
+        i = match.start()
+        ch = text[i]
         if ch == opener:
             if depth == 0:
                 start = i

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from helpers import DESCRIPTOR_FIXTURES_BAD, DESCRIPTOR_FIXTURES_OK, StubBackend
 from tagcraft import PromptRequest, TopicDescriptor, extract_descriptor, extract_descriptor_set
 from tagcraft.errors import DescriptorParseError
-from tagcraft.extraction import REPAIR_INSTRUCTION, descriptor_to_json, request_descriptor
+from tagcraft.extraction import (
+    REPAIR_INSTRUCTION,
+    _brace_only_spans,
+    _string_aware_spans,
+    descriptor_to_json,
+    request_descriptor,
+    request_descriptor_set,
+)
 
 A2_STYLE = """
 {
@@ -109,6 +116,18 @@ def test_request_descriptor_repairs_then_succeeds() -> None:
     assert backend.prompts[2].count(REPAIR_INSTRUCTION) == 2
 
 
+def test_request_descriptor_set_repairs_after_one_prose_reply() -> None:
+    good = (
+        '[{"topic_name": "A", "topic_description": "a."},'
+        ' {"topic_name": "B", "topic_description": "b."}]'
+    )
+    backend = StubBackend(completions=["Sure, here you go.", good])
+    request = PromptRequest(user_text="base prompt")
+    descriptors = request_descriptor_set(backend, request)
+    assert [d.topic_name for d in descriptors] == ["A", "B"]
+    assert backend.prompts == ["base prompt", "base prompt\n\n" + REPAIR_INSTRUCTION]
+
+
 def test_request_descriptor_surfaces_error_after_two_repairs() -> None:
     backend = StubBackend(completions=["prose"])
     with pytest.raises(DescriptorParseError):
@@ -133,3 +152,162 @@ def test_json_emission_uses_lowercase_keys() -> None:
         "topic_name": "X",
         "topic_description": "Y.",
     }
+
+
+# -- span scanners ----------------------------------------------------------------
+
+
+def _reference_string_aware_spans(text: str, opener: str, closer: str):
+    """The original one-character-at-a-time scan, kept as the oracle."""
+    depth = 0
+    start = -1
+    in_string = False
+    escaped = False
+    for i, ch in enumerate(text):
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+            continue
+        if ch == '"' and depth > 0:
+            in_string = True
+        elif ch == opener:
+            if depth == 0:
+                start = i
+            depth += 1
+        elif ch == closer and depth > 0:
+            depth -= 1
+            if depth == 0:
+                yield (start, i + 1)
+
+
+def _reference_brace_only_spans(text: str, opener: str, closer: str):
+    depth = 0
+    start = -1
+    for i, ch in enumerate(text):
+        if ch == opener:
+            if depth == 0:
+                start = i
+            depth += 1
+        elif ch == closer and depth > 0:
+            depth -= 1
+            if depth == 0:
+                yield (start, i + 1)
+
+
+def _assert_scanners_match_reference(text: str) -> None:
+    for opener, closer in (("{", "}"), ("[", "]")):
+        assert list(_string_aware_spans(text, opener, closer)) == list(
+            _reference_string_aware_spans(text, opener, closer)
+        )
+        assert list(_brace_only_spans(text, opener, closer)) == list(
+            _reference_brace_only_spans(text, opener, closer)
+        )
+
+
+# Structural characters plus letters and non-ASCII, with the escape and quote
+# pairs that switch string state drawn as single pieces so they come up often.
+_scanner_text = st.lists(
+    st.sampled_from(list('{}[]":,\\ abZ\n\té☃') + ['\\"', '\\\\', '{"', '"}', '["', '"]']),
+    max_size=120,
+).map("".join)
+
+
+@settings(max_examples=500)
+@given(_scanner_text)
+def test_scanners_match_reference_on_structural_text(text: str) -> None:
+    _assert_scanners_match_reference(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\\",
+        '{"a": "b\\',
+        '{"a": "\\',
+        '{"a": "unterminated',
+        '{"a": "unterminated} }] more',
+        '{"a": "x\\\\"}',
+        '{"a": "x\\\\\\"}"}',
+        '{"a": "\\\\\\\\\\\\"} tail}',
+        '["\\"]", "\\\\"]',
+        "}}]] {} [] }{ ][",
+        '"{"} "[" ]',
+        "{" * 300 + "[" * 300 + "]" * 300 + "}" * 300,
+        '{"k": ' * 50 + '"v"' + "}" * 50,
+        '{"a": 1} stray " quote {"b": 2}',
+        'prose "with {quotes} " then {"x": "y"} and [1, "]", 2]',
+    ],
+)
+def test_scanners_match_reference_on_hand_cases(text: str) -> None:
+    _assert_scanners_match_reference(text)
+
+
+# -- a large contrast-style reply ---------------------------------------------------------
+
+_CONTRAST_DESCRIPTIONS = [
+    'Login failures; config blocks like {"retries": 3} belong here.',
+    "Billing disputes over [refund] and [chargeback] items.",
+    'Shell paths such as C:\\Program Files\\ and "quoted" args.',
+    "Unbalanced openers { and [ quoted in tickets.",
+    "Unbalanced closers } and ] quoted in tickets.",
+    "A trailing backslash \\",
+    'Escaped quote runs \\" and \\\\" inside text.',
+    'Nested {"topic_name": "Ghost", "topic_description": "inner"} example.',
+    'Arrays [{"topic_name": "Shadow", "topic_description": "x"}] inline.',
+    "Plain description with no structural characters at all.",
+    'Mixed {[}] order and a "quote".',
+    "Unicode é ☃ with {braces} and [brackets].",
+]
+_CONTRAST_REPLY = "\n\n".join(
+    json.dumps(
+        {
+            "topic_name": f"Topic_{i:02d}",
+            "topic_description": description + " This is different from the others.",
+        },
+        ensure_ascii=False,
+        indent=1,
+    )
+    for i, description in enumerate(_CONTRAST_DESCRIPTIONS)
+)
+
+# Extracted from this reply by the original per-character scanners.
+_CONTRAST_EXPECTED = [
+    ("Topic_00", 'Login failures; config blocks like {"retries": 3} belong here. This is different from the others.'),
+    ("Topic_01", "Billing disputes over [refund] and [chargeback] items. This is different from the others."),
+    ("Topic_02", 'Shell paths such as C:\\Program Files\\ and "quoted" args. This is different from the others.'),
+    ("Topic_03", "Unbalanced openers { and [ quoted in tickets. This is different from the others."),
+    ("Topic_04", "Unbalanced closers } and ] quoted in tickets. This is different from the others."),
+    ("Topic_05", "A trailing backslash \\ This is different from the others."),
+    ("Topic_06", 'Escaped quote runs \\" and \\\\" inside text. This is different from the others.'),
+    ("Topic_07", 'Nested {"topic_name": "Ghost", "topic_description": "inner"} example. This is different from the others.'),
+    ("Topic_08", 'Arrays [{"topic_name": "Shadow", "topic_description": "x"}] inline. This is different from the others.'),
+    ("Topic_09", "Plain description with no structural characters at all. This is different from the others."),
+    ("Topic_10", 'Mixed {[}] order and a "quote". This is different from the others.'),
+    ("Topic_11", "Unicode é ☃ with {braces} and [brackets]. This is different from the others."),
+]
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        (_CONTRAST_REPLY, _CONTRAST_EXPECTED),
+        ("```json\n" + _CONTRAST_REPLY + "\n```", _CONTRAST_EXPECTED),
+        (
+            'Here are the 12 rewritten categories ("contrast" pass, {draft}):\n\n'
+            + _CONTRAST_REPLY
+            + "\n\nNote: the [unknown] item was dropped.",
+            _CONTRAST_EXPECTED,
+        ),
+        # Cut inside the last description: the unterminated string hides it.
+        (_CONTRAST_REPLY[:-40], _CONTRAST_EXPECTED[:11]),
+    ],
+    ids=["bare", "fenced", "prose", "truncated"],
+)
+def test_set_extraction_pins_large_contrast_reply(text: str, expected) -> None:
+    descriptors = extract_descriptor_set(text)
+    assert [(d.topic_name, d.topic_description) for d in descriptors] == expected
