@@ -53,8 +53,18 @@ class ScoreMap:
 
 @dataclass(frozen=True)
 class BackendCapabilities:
+    """What a backend can do. ``max_concurrency`` is the most calls the
+    endpoint takes at once; every stage that fans calls out reads it here,
+    so it is the only concurrency setting.
+    """
+
     supports_label_scoring: bool
     model_id: str
+    max_concurrency: int = 4
+
+    def __post_init__(self) -> None:
+        if self.max_concurrency < 1:
+            raise ValueError(f"max_concurrency must be at least 1, got {self.max_concurrency}")
 
 
 class Backend(abc.ABC):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 import os
-import threading
 import time
 from typing import Sequence
 
@@ -39,7 +38,8 @@ class HttpBackend(Backend):
 
     Retries RateLimited and TransportError with bounded exponential backoff
     (max_retries additional attempts); 4xx rejections are never retried.
-    Concurrent requests are capped by an internal semaphore.
+    ``max_concurrency`` is reported through capabilities(); the stages that
+    fan calls out keep at most that many in flight.
     """
 
     def __init__(
@@ -65,11 +65,13 @@ class HttpBackend(Backend):
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.top_logprobs = top_logprobs
-        self._semaphore = threading.BoundedSemaphore(max(1, max_concurrency))
+        self._capabilities = BackendCapabilities(
+            supports_label_scoring=True, model_id=self.model, max_concurrency=max_concurrency
+        )
         self._session = session or requests.Session()
 
     def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(supports_label_scoring=True, model_id=self.model)
+        return self._capabilities
 
     # -- transport ----------------------------------------------------------
 
@@ -99,10 +101,9 @@ class HttpBackend(Backend):
             if attempt:
                 time.sleep(self.backoff_base * (2 ** (attempt - 1)))
             try:
-                with self._semaphore:
-                    response = self._session.post(
-                        url, json=payload, headers=headers, timeout=self.timeout
-                    )
+                response = self._session.post(
+                    url, json=payload, headers=headers, timeout=self.timeout
+                )
             except requests.RequestException as err:
                 last_error = TransportError(f"request to {url} failed: {err}")
                 logger.warning("transport failure (attempt %d): %s", attempt + 1, err)

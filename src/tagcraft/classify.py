@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence, Union
 
-from .backends.base import Backend, ScoreMap, ScoringPath
+from .backends.base import Backend, ScoreMap
 from .errors import ClassificationError, EmptyTaxonomyError, FallbackParseError, PromptBudgetError
 from .fanout import ordered_map
 from .model import Document, Taxonomy
@@ -21,7 +21,6 @@ class ClassificationResult:
     document_id: str
     predicted: str
     scores: ScoreMap
-    scoring_path: ScoringPath
 
 
 @dataclass(frozen=True)
@@ -99,12 +98,7 @@ def _classify(
         predicted = argmax(score_map.scores, names)
     except KeyError as err:
         raise ClassificationError(document.id, f"backend omitted candidate {err}") from err
-    return ClassificationResult(
-        document_id=document.id,
-        predicted=predicted,
-        scores=score_map,
-        scoring_path=score_map.path,
-    )
+    return ClassificationResult(document_id=document.id, predicted=predicted, scores=score_map)
 
 
 def argmax(scores: dict[str, float], order: Sequence[str]) -> str:
@@ -126,13 +120,12 @@ def classify_batch(
     taxonomy: Taxonomy,
     backend: Backend,
     *,
-    concurrency_cap: int = 4,
     templates_dir: str | Path | None = None,
     max_prompt_chars: int = MAX_PROMPT_CHARS,
 ) -> list[BatchItem]:
-    """Classify documents concurrently, returning results in input order.
-    Failures are isolated per document as ClassificationFailure slots rather
-    than aborting the batch.
+    """Classify documents concurrently, up to the backend's max_concurrency,
+    returning results in input order. Failures are isolated per document as
+    ClassificationFailure slots rather than aborting the batch.
     """
     if not documents:
         return []
@@ -152,4 +145,4 @@ def classify_batch(
         except Exception as err:
             return ClassificationFailure(document.id, str(err), err)
 
-    return ordered_map(one, documents, concurrency_cap)
+    return ordered_map(one, documents, backend.capabilities().max_concurrency)

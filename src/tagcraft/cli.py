@@ -209,14 +209,12 @@ def contrast(state: CliState, taxonomy_path, out_path):
 @click.option("--top-k", type=int, default=3, show_default=True)
 @click.option("--resample", is_flag=True, default=False, help="Fresh validation sample each iteration.")
 @click.option("--adapt-after-loop", is_flag=True, default=False)
-@click.option("--adapt-template", type=click.Choice(["inter_class_adapt", "intra_class_diff"]), default="inter_class_adapt", show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--report", "report_path", type=click.Path(), default=None)
 @click.pass_obj
 @_guarded
 def refine(state: CliState, taxonomy_path, validate_path, fmt, label_map, threshold, max_iters,
-           m_validate, min_confusion, top_k, resample, adapt_after_loop, adapt_template,
-           out_path, report_path):
+           m_validate, min_confusion, top_k, resample, adapt_after_loop, out_path, report_path):
     """Run the iterative validate/refine loop against labeled documents."""
     taxonomy = load_taxonomy(taxonomy_path)
     docs = _apply_label_map(_load_docs(validate_path, fmt), label_map)
@@ -229,7 +227,6 @@ def refine(state: CliState, taxonomy_path, validate_path, fmt, label_map, thresh
         top_k_pairs=top_k,
         resample_validation=resample,
         adapt_after_loop=adapt_after_loop,
-        adapt_template=adapt_template,
     )
     backend = state.make_backend()
     log = state.open_log()
@@ -242,22 +239,7 @@ def refine(state: CliState, taxonomy_path, validate_path, fmt, label_map, thresh
             log.close()
     save_taxonomy(result, out_path or taxonomy_path)
     report_file = Path(report_path) if report_path else Path(taxonomy_path).with_suffix(".report.json")
-    payload = {
-        "iterations_run": report.iterations_run,
-        "stop_reason": report.stop_reason.value,
-        "per_iteration": [
-            {
-                "index": record.index,
-                "accuracy": record.accuracy,
-                "refined": record.refined,
-                "adapted": [
-                    {"correct": p.correct, "wrong": p.wrong, "count": p.count}
-                    for p in record.adapted
-                ],
-            }
-            for record in report.per_iteration
-        ],
-    }
+    payload = xp.refinement_to_dict(report)
     write_text_atomic(report_file, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     click.echo(
         f"stopped after {report.iterations_run} iteration(s): {report.stop_reason.value}; "

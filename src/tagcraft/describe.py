@@ -79,7 +79,6 @@ def bootstrap_taxonomy(
     plan: SamplePlan,
     backend: Backend,
     *,
-    concurrency_cap: int = 4,
     templates_dir: str | Path | None = None,
 ) -> tuple[Taxonomy, dict[str, str]]:
     """Bootstrap one category per label and return the taxonomy together with
@@ -101,7 +100,7 @@ def bootstrap_taxonomy(
     descriptors = ordered_map(
         lambda chosen: bootstrap_category(chosen, backend, templates_dir=templates_dir),
         samples,
-        concurrency_cap,
+        backend.capabilities().max_concurrency,
     )
     taxonomy = Taxonomy()
     mapping: dict[str, str] = {}
@@ -127,7 +126,6 @@ def contrast_taxonomy(
     backend: Backend,
     *,
     batch_size: int = CONTRAST_BATCH_SIZE,
-    concurrency_cap: int = 4,
     templates_dir: str | Path | None = None,
 ) -> Taxonomy:
     """Rewrite every description so that each category states how it differs
@@ -156,7 +154,9 @@ def contrast_taxonomy(
             render(TemplateId.CONTRAST, {"category": binding}, templates_dir=templates_dir)
         )
     replies = ordered_map(
-        lambda request: request_descriptor_set(backend, request), requests, concurrency_cap
+        lambda request: request_descriptor_set(backend, request),
+        requests,
+        backend.capabilities().max_concurrency,
     )
     updates: list[TopicDescriptor] = []
     matched: set[int] = set()

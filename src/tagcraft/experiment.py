@@ -163,7 +163,6 @@ def config_to_dict(config: RefinementConfig) -> dict:
         "top_k_pairs": config.top_k_pairs,
         "resample_validation": config.resample_validation,
         "adapt_after_loop": config.adapt_after_loop,
-        "adapt_template": config.adapt_template,
     }
 
 
@@ -205,7 +204,6 @@ def run_experiment(
     backend: Backend,
     config: RefinementConfig,
     *,
-    concurrency_cap: int = 4,
     templates_dir: str | Path | None = None,
     log: RunLog | None = None,
     checkpoint_dir: str | Path | None = None,
@@ -219,8 +217,8 @@ def run_experiment(
     With a checkpoint_dir, the working taxonomy is re-saved after every
     pipeline stage so a mid-run failure leaves partial artifacts behind.
 
-    concurrency_cap bounds the backend calls in flight in every stage; the
-    outputs are the same as with concurrency_cap=1.
+    Every stage keeps at most ``backend.capabilities().max_concurrency``
+    backend calls in flight; the outputs are the same as with a cap of 1.
     """
 
     def checkpoint(taxonomy: Taxonomy) -> None:
@@ -246,14 +244,11 @@ def run_experiment(
         plan.seen_labels,
         sample_plan,
         backend,
-        concurrency_cap=concurrency_cap,
         templates_dir=templates_dir,
     )
     checkpoint(taxonomy)
     if len(taxonomy) >= 2:
-        taxonomy = contrast_taxonomy(
-            taxonomy, backend, concurrency_cap=concurrency_cap, templates_dir=templates_dir
-        )
+        taxonomy = contrast_taxonomy(taxonomy, backend, templates_dir=templates_dir)
         checkpoint(taxonomy)
 
     validation = [
@@ -266,7 +261,6 @@ def run_experiment(
         validation,
         config,
         backend,
-        concurrency_cap=concurrency_cap,
         templates_dir=templates_dir,
         log=log,
     )
@@ -279,7 +273,6 @@ def run_experiment(
         label_names,
         EvalPhase.SEEN_ONLY,
         backend,
-        concurrency_cap,
         templates_dir,
         predictions,
     )
@@ -292,7 +285,6 @@ def run_experiment(
             backend,
             run_contrast=True,
             sample_docs=list(split.unseen_bootstrap.get(label, ())),
-            concurrency_cap=concurrency_cap,
             templates_dir=templates_dir,
         )
         label_names[label] = rough.topic_name
@@ -307,7 +299,6 @@ def run_experiment(
         label_names,
         EvalPhase.AFTER_UNSEEN,
         backend,
-        concurrency_cap,
         templates_dir,
         predictions,
     )
@@ -342,7 +333,6 @@ def _evaluate(
     label_names: dict[str, str],
     phase: EvalPhase,
     backend: Backend,
-    concurrency_cap: int,
     templates_dir: str | Path | None,
     predictions: list[PredictionRecord],
 ) -> EvalReport:
@@ -350,13 +340,7 @@ def _evaluate(
     matrix = ConfusionMatrix()
     n_failed = 0
     documents = [doc for _, doc in labeled_docs]
-    results = classify_batch(
-        documents,
-        taxonomy,
-        backend,
-        concurrency_cap=concurrency_cap,
-        templates_dir=templates_dir,
-    )
+    results = classify_batch(documents, taxonomy, backend, templates_dir=templates_dir)
     for (label, document), result in zip(labeled_docs, results):
         if isinstance(result, ClassificationFailure):
             n_failed += 1
@@ -416,22 +400,28 @@ def result_to_dict(result: ExperimentResult) -> dict:
         "phase1": _report_to_dict(result.phase1),
         "phase2": _report_to_dict(result.phase2),
         "accuracy_shift": result.accuracy_shift,
-        "refinement": {
-            "iterations_run": result.refinement.iterations_run,
-            "stop_reason": result.refinement.stop_reason.value,
-            "per_iteration": [
-                {
-                    "index": record.index,
-                    "accuracy": record.accuracy,
-                    "refined": record.refined,
-                    "adapted": [
-                        {"correct": pair.correct, "wrong": pair.wrong, "count": pair.count}
-                        for pair in record.adapted
-                    ],
-                }
-                for record in result.refinement.per_iteration
-            ],
-        },
+        "refinement": refinement_to_dict(result.refinement),
+    }
+
+
+def refinement_to_dict(report: RefinementReport) -> dict:
+    """The refinement trace as written into report.json and by the CLI
+    ``refine`` command."""
+    return {
+        "iterations_run": report.iterations_run,
+        "stop_reason": report.stop_reason.value,
+        "per_iteration": [
+            {
+                "index": record.index,
+                "accuracy": record.accuracy,
+                "refined": record.refined,
+                "adapted": [
+                    {"correct": pair.correct, "wrong": pair.wrong, "count": pair.count}
+                    for pair in record.adapted
+                ],
+            }
+            for record in report.per_iteration
+        ],
     }
 
 

@@ -2,8 +2,9 @@
 
 Every stage that issues independent backend calls (classification, per-label
 bootstrap, contrast batches, the refine and adapt waves) runs them through
-``ordered_map``, so one ``concurrency_cap`` bounds how many are in flight and
-callers apply the results on their own thread in a fixed order.
+``ordered_map`` with the backend's ``capabilities().max_concurrency`` as the
+cap, so the backend alone bounds how many are in flight, and callers apply
+the results on their own thread in a fixed order.
 """
 
 from __future__ import annotations

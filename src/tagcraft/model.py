@@ -251,8 +251,6 @@ class RefinementConfig:
     resample_validation: bool = False
     # Run pair adaptation once after the loop instead of inside each iteration.
     adapt_after_loop: bool = False
-    # Template used for pair adaptation: "inter_class_adapt" or "intra_class_diff".
-    adapt_template: str = "inter_class_adapt"
 
     def __post_init__(self) -> None:
         if self.n_bootstrap < 1 or self.m_validate < 1:
@@ -263,8 +261,6 @@ class RefinementConfig:
             raise ValueError("max_iterations must be positive")
         if self.min_confusion_count < 1 or self.top_k_pairs < 1:
             raise ValueError("confusion mining knobs must be >= 1")
-        if self.adapt_template not in ("inter_class_adapt", "intra_class_diff"):
-            raise ValueError(f"unknown adapt_template: {self.adapt_template!r}")
 
 
 def taxonomy_to_dict(taxonomy: Taxonomy) -> dict:

@@ -29,7 +29,6 @@ class TemplateId(enum.Enum):
     CONTRAST = "contrast"
     INTER_CLASS_ADAPT = "inter_class_adapt"
     MISCLASS_REFINE = "misclass_refine"
-    INTRA_CLASS_DIFF = "intra_class_diff"
     CLASSIFY = "classify"
 
 
@@ -40,7 +39,6 @@ _DEFAULT_MAX_TOKENS = {
     TemplateId.CONTRAST: 2048,
     TemplateId.INTER_CLASS_ADAPT: 512,
     TemplateId.MISCLASS_REFINE: 512,
-    TemplateId.INTRA_CLASS_DIFF: 512,
     TemplateId.CLASSIFY: 32,
 }
 

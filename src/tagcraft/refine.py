@@ -95,7 +95,6 @@ def validate_category_set(
     validation_docs: Sequence[Document],
     backend: Backend,
     *,
-    concurrency_cap: int = 4,
     templates_dir: str | Path | None = None,
 ) -> ValidationOutcome:
     """Classify every validation document against the taxonomy snapshot and
@@ -123,13 +122,7 @@ def validate_category_set(
     matrix = ConfusionMatrix()
     misclassified: dict[str, list[tuple[Document, str]]] = {}
     correct: dict[str, list[Document]] = {}
-    results = classify_batch(
-        validation_docs,
-        taxonomy,
-        backend,
-        concurrency_cap=concurrency_cap,
-        templates_dir=templates_dir,
-    )
+    results = classify_batch(validation_docs, taxonomy, backend, templates_dir=templates_dir)
     for document, gold, result in zip(validation_docs, golds, results):
         if isinstance(result, ClassificationFailure):
             raise result.exception
@@ -222,7 +215,6 @@ def adapt_pair(
     backend: Backend,
     *,
     iteration: int = 0,
-    template: TemplateId = TemplateId.INTER_CLASS_ADAPT,
     templates_dir: str | Path | None = None,
     log: RunLog | None = None,
 ) -> Taxonomy:
@@ -247,7 +239,7 @@ def adapt_pair(
             f"no validation samples for confusion {pair.correct!r} -> {pair.wrong!r}"
         )
     request = render(
-        template,
+        TemplateId.INTER_CLASS_ADAPT,
         {
             "df_subset_right": format_sample_block(d.text for d in right),
             "df_subset_wrong": format_sample_block(d.text for d in wrong_docs),
@@ -272,15 +264,16 @@ def adapt_pair(
 def _wave(
     run: Callable[[T, RunLog | None], R],
     items: Sequence[T],
+    backend: Backend,
     log: RunLog | None,
-    concurrency_cap: int,
 ) -> Iterator[tuple[T, R]]:
-    """Call ``run(item, item_log)`` for every item concurrently; once all
-    calls have finished, yield ``(item, result)`` in item order, appending
-    each item's log events to ``log`` just before its result. The first
-    failure in item order ends the wave: its events are appended and its
-    exception raised, and the results and events of later items are dropped,
-    exactly as if the items had run one after another.
+    """Call ``run(item, item_log)`` for every item concurrently, up to the
+    backend's max_concurrency; once all calls have finished, yield
+    ``(item, result)`` in item order, appending each item's log events to
+    ``log`` just before its result. The first failure in item order ends the
+    wave: its events are appended and its exception raised, and the results
+    and events of later items are dropped, exactly as if the items had run
+    one after another.
     """
     logs = [RunLog.in_memory() if log else None for _ in items]
 
@@ -290,7 +283,7 @@ def _wave(
         except Exception as err:
             return None, err
 
-    outcomes = ordered_map(attempt, range(len(items)), concurrency_cap)
+    outcomes = ordered_map(attempt, range(len(items)), backend.capabilities().max_concurrency)
     for item, item_log, (result, error) in zip(items, logs, outcomes):
         if item_log is not None:
             log.append(item_log)
@@ -306,8 +299,6 @@ def _adapt_wave(
     record: IterationRecord,
     backend: Backend,
     *,
-    template: TemplateId,
-    concurrency_cap: int,
     templates_dir: str | Path | None,
     log: RunLog | None,
 ) -> Taxonomy:
@@ -324,13 +315,12 @@ def _adapt_wave(
             taxonomy,
             backend,
             iteration=record.index,
-            template=template,
             templates_dir=templates_dir,
             log=pair_log,
         )
 
     current = taxonomy
-    for pair, result in _wave(adapt, pairs, log, concurrency_cap):
+    for pair, result in _wave(adapt, pairs, backend, log):
         descriptor = result.get(pair.correct).descriptor
         current = taxonomy_upsert(current, descriptor, Stage.ADAPT, record.index)
         record.adapted.append(pair)
@@ -379,7 +369,6 @@ def refine_loop(
     config: RefinementConfig,
     backend: Backend,
     *,
-    concurrency_cap: int = 4,
     templates_dir: str | Path | None = None,
     log: RunLog | None = None,
 ) -> tuple[Taxonomy, RefinementReport]:
@@ -398,18 +387,11 @@ def refine_loop(
     records: list[IterationRecord] = []
     current = taxonomy
     stop = StopReason.MAX_ITERATIONS
-    adapt_template = TemplateId(config.adapt_template)
     last_outcome: ValidationOutcome | None = None
     try:
         for iteration in range(1, config.max_iterations + 1):
             docs = _validation_subset(validation_docs, config, iteration)
-            outcome = validate_category_set(
-                current,
-                docs,
-                backend,
-                concurrency_cap=concurrency_cap,
-                templates_dir=templates_dir,
-            )
+            outcome = validate_category_set(current, docs, backend, templates_dir=templates_dir)
             last_outcome = outcome
             accuracies = outcome.per_category_accuracy
             minimum = min(accuracies.values(), default=1.0)
@@ -438,7 +420,7 @@ def refine_loop(
                     iteration=iteration,
                 )
 
-            for category, descriptor in _wave(refine, below, log, concurrency_cap):
+            for category, descriptor in _wave(refine, below, backend, log):
                 current = taxonomy_upsert(current, descriptor, Stage.REFINE, iteration)
                 record.refined.append(category.name)
             if not config.adapt_after_loop:
@@ -451,8 +433,6 @@ def refine_loop(
                     current,
                     record,
                     backend,
-                    template=adapt_template,
-                    concurrency_cap=concurrency_cap,
                     templates_dir=templates_dir,
                     log=log,
                 )
@@ -466,8 +446,6 @@ def refine_loop(
                 current,
                 records[-1],
                 backend,
-                template=adapt_template,
-                concurrency_cap=concurrency_cap,
                 templates_dir=templates_dir,
                 log=log,
             )

@@ -65,7 +65,6 @@ def add_topic(
     *,
     run_contrast: bool = True,
     sample_docs: Sequence[Document] | None = None,
-    concurrency_cap: int = 4,
     templates_dir: str | Path | None = None,
 ) -> Taxonomy:
     """Integrate a user-authored category: enrich the rough description,
@@ -74,7 +73,7 @@ def add_topic(
 
     With run_contrast=False nothing changes except the one appended category.
     The enrichment is one completion; the contrast batches run concurrently
-    under concurrency_cap.
+    up to the backend's max_concurrency.
     """
     if taxonomy.get(user_descriptor.topic_name) is not None:
         raise DuplicateNameError(
@@ -86,9 +85,7 @@ def add_topic(
     )
     if run_contrast and len(result) >= 2:
         try:
-            result = contrast_taxonomy(
-                result, backend, concurrency_cap=concurrency_cap, templates_dir=templates_dir
-            )
+            result = contrast_taxonomy(result, backend, templates_dir=templates_dir)
         except ContrastDroppedAllError:
             logger.warning(
                 "post-add contrast matched no categories; keeping un-contrasted taxonomy"

@@ -7,6 +7,7 @@ import json
 import random
 import re
 import threading
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -67,6 +68,24 @@ class StubBackend(Backend):
         if self._score_fn is None:
             raise AssertionError("StubBackend has no score function")
         return ScoreMap(scores=self._score_fn(request, names), path=ScoringPath.MOCK)
+
+
+class CappedBackend(Backend):
+    """Delegates to ``inner`` but reports ``max_concurrency`` as its cap, the
+    one setting that bounds how many calls the stages keep in flight."""
+
+    def __init__(self, inner: Backend, max_concurrency: int):
+        self.inner = inner
+        self.max_concurrency = max_concurrency
+
+    def capabilities(self) -> BackendCapabilities:
+        return replace(self.inner.capabilities(), max_concurrency=self.max_concurrency)
+
+    def complete(self, request: PromptRequest) -> str:
+        return self.inner.complete(request)
+
+    def score_labels(self, request: PromptRequest, candidates) -> ScoreMap:
+        return self.inner.score_labels(request, candidates)
 
 
 _DOC_TAG = re.compile(r"gold=(\S+) idx=(\d+)")

@@ -18,6 +18,7 @@ from click.testing import CliRunner
 from helpers import (
     DESCRIPTOR_FIXTURES_BAD,
     DESCRIPTOR_FIXTURES_OK,
+    CappedBackend,
     ScriptedAccuracyBackend,
     StubBackend,
     class_vocab,
@@ -92,7 +93,7 @@ def test_criterion_1_loop_termination_and_stop_correctness() -> None:
             min_confusion_count=1,
             top_k_pairs=2,
         )
-        _, report = refine_loop(taxonomy, docs, config, backend, concurrency_cap=2)
+        _, report = refine_loop(taxonomy, docs, config, CappedBackend(backend, 2))
 
         # independent simulation of the stopping rule
         expected_stop = StopReason.MAX_ITERATIONS

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tagcraft import Document, MockBackend, PromptRequest, TemplateId, render
-from tagcraft.backends.base import check_candidates
+from tagcraft.backends.base import BackendCapabilities, check_candidates
 from tagcraft.errors import NoCandidatesError
 from tagcraft.prompts import format_sample_block
 
@@ -61,6 +61,13 @@ def test_capabilities_report_scoring_support_and_model_id(mock_backend: MockBack
     caps = mock_backend.capabilities()
     assert caps.supports_label_scoring is True
     assert caps.model_id == "mock-0"
+    assert caps.max_concurrency == 4
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_capabilities_reject_max_concurrency_below_one(value) -> None:
+    with pytest.raises(ValueError):
+        BackendCapabilities(supports_label_scoring=True, model_id="m", max_concurrency=value)
 
 
 def test_mock_is_pure_function_of_inputs() -> None:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import StubBackend, make_taxonomy
+from helpers import CappedBackend, StubBackend, make_taxonomy
 from tagcraft import Document, MockBackend, classify, classify_batch
 from tagcraft.classify import ClassificationFailure, ClassificationResult, argmax
 from tagcraft.errors import ClassificationError, EmptyTaxonomyError, FallbackParseError, PromptBudgetError
@@ -100,7 +100,7 @@ def test_batch_equals_serial(mock_backend: MockBackend) -> None:
         Document(id="2", text="brick1"),
         Document(id="3", text="aqua2"),
     ]
-    batch = classify_batch(docs, taxonomy, mock_backend, concurrency_cap=3)
+    batch = classify_batch(docs, taxonomy, CappedBackend(mock_backend, 3))
     serial = [classify(d, taxonomy, mock_backend) for d in docs]
     assert batch == serial
     assert [r.document_id for r in batch] == ["1", "2", "3"]

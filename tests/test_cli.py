@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
 from helpers import class_vocab, keyword_documents, write_generic_csv, write_plan
+from tagcraft import Document, MockBackend, RefinementConfig, refine_loop
 from tagcraft.cli import main
+from tagcraft.datasets import load_generic_csv
+from tagcraft.experiment import refinement_to_dict
 from tagcraft.model import load_taxonomy
 
 
@@ -33,6 +37,17 @@ def _bootstrap(runner, corpus_csv, tmp_path, labels="ClassA,ClassB,ClassC"):
     )
     assert result.exit_code == 0, result.output
     return out
+
+
+def _inseparable_csv(tmp_path):
+    """The same text under all three labels, ten documents each."""
+    text = " ".join(class_vocab(3)["ClassA"][:5])
+    bad = [
+        Document(id=f"{label}-{i}", text=text, gold_label=label)
+        for label in ("ClassA", "ClassB", "ClassC")
+        for i in range(10)
+    ]
+    return write_generic_csv(bad, tmp_path / "bad.csv")
 
 
 def test_bootstrap_writes_taxonomy_and_label_map(runner, corpus_csv, tmp_path) -> None:
@@ -75,15 +90,7 @@ def test_refine_scripted_below_threshold_runs_four_rounds(runner, corpus_csv, tm
     # at least one category stays at zero accuracy no matter how descriptions
     # evolve, and the loop must exhaust its four iterations.
     out = _bootstrap(runner, corpus_csv, tmp_path)
-    from tagcraft import Document
-
-    text = " ".join(class_vocab(3)["ClassA"][:5])
-    bad = [
-        Document(id=f"{label}-{i}", text=text, gold_label=label)
-        for label in ("ClassA", "ClassB", "ClassC")
-        for i in range(10)
-    ]
-    bad_csv = write_generic_csv(bad, tmp_path / "bad.csv")
+    bad_csv = _inseparable_csv(tmp_path)
     result = runner.invoke(
         main,
         [
@@ -96,6 +103,29 @@ def test_refine_scripted_below_threshold_runs_four_rounds(runner, corpus_csv, tm
     report = json.loads((tmp_path / "tax.report.json").read_text(encoding="utf-8"))
     assert report["stop_reason"] == "max_iterations"
     assert report["iterations_run"] == 4
+
+
+def test_refine_report_is_the_experiment_refinement_serializer(runner, corpus_csv, tmp_path) -> None:
+    out = _bootstrap(runner, corpus_csv, tmp_path)
+    bad_csv = _inseparable_csv(tmp_path)
+    result = runner.invoke(
+        main,
+        [
+            "refine", "--taxonomy", str(out), "--validate", str(bad_csv),
+            "--label-map", str(tmp_path / "tax.labels.json"),
+            "--max-iters", "2", "--m", "10", "--min-confusion", "1",
+            "--out", str(tmp_path / "refined.json"),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+
+    mapping = json.loads((tmp_path / "tax.labels.json").read_text(encoding="utf-8"))
+    docs = [replace(d, gold_label=mapping[d.gold_label]) for d in load_generic_csv(bad_csv)]
+    config = RefinementConfig(m_validate=10, max_iterations=2, min_confusion_count=1)
+    _, report = refine_loop(load_taxonomy(out), docs, config, MockBackend(seed=0))
+    assert any(record.refined and record.adapted for record in report.per_iteration)
+    expected = json.dumps(refinement_to_dict(report), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "tax.report.json").read_text(encoding="utf-8") == expected
 
 
 def test_classify_prints_predicted_name(runner, corpus_csv, tmp_path) -> None:

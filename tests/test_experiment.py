@@ -6,6 +6,7 @@ import pytest
 
 from helpers import class_vocab, keyword_documents, write_generic_csv, write_plan
 from tagcraft import MockBackend, RefinementConfig
+from tagcraft.errors import SchemaError
 from tagcraft.experiment import (
     DatasetKind,
     EvalPhase,
@@ -165,3 +166,15 @@ def test_load_plan_round_trip(tmp_path, corpus_csv) -> None:
     assert config.max_iterations == 2
     assert config.m_validate == 6  # inherited from the plan
     assert config.seed == 3
+
+
+def test_load_plan_rejects_the_removed_adapt_template_field(tmp_path, corpus_csv) -> None:
+    plan_path = write_plan(
+        tmp_path / "plan.json",
+        corpus_csv,
+        seen=["ClassA", "ClassB"],
+        unseen=[],
+        refinement={"adapt_template": "inter_class_adapt"},
+    )
+    with pytest.raises(SchemaError):
+        load_plan(plan_path)

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from tagcraft import PromptRequest, ScoringPath
+from helpers import make_taxonomy
+from tagcraft import Document, PromptRequest, ScoringPath, classify_batch
 from tagcraft.backends.base import NEG_SENTINEL
 from tagcraft.backends.http import HttpBackend, _align_logprob, _fallback_scores
 from tagcraft.errors import (
@@ -42,10 +44,10 @@ class _Script(BaseHTTPRequestHandler):
 def scripted_server():
     handlers: list[type[_Script]] = []
 
-    def start(responses: list[tuple[int, dict | str]]) -> str:
-        handler = type("Handler", (_Script,), {"responses": responses, "requests_seen": []})
+    def start(responses: list[tuple[int, dict | str]], base: type[_Script] = _Script) -> str:
+        handler = type("Handler", (base,), {"responses": responses, "requests_seen": []})
         handlers.append(handler)
-        server = HTTPServer(("127.0.0.1", 0), handler)
+        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         start.servers.append(server)
@@ -170,6 +172,44 @@ def test_score_labels_fallback_no_match_raises(scripted_server) -> None:
     backend = _backend(base)
     with pytest.raises(FallbackParseError):
         backend.score_labels(PromptRequest(user_text="doc"), ["Sports", "Business"])
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_max_concurrency_below_one_is_rejected(value) -> None:
+    with pytest.raises(ValueError):
+        _backend("http://127.0.0.1:9", max_concurrency=value)
+
+
+def test_max_concurrency_is_reported_in_capabilities() -> None:
+    assert _backend("http://127.0.0.1:9", max_concurrency=3).capabilities().max_concurrency == 3
+
+
+class _InFlight(_Script):
+    """Counts the requests it is handling at once; a request leaves the count
+    before its response is sent, so the peak never exceeds the client's."""
+
+    lock = threading.Lock()
+    level = 0
+    peak = 0
+
+    def do_POST(self):  # noqa: N802 (http.server API)
+        cls = type(self)
+        with cls.lock:
+            cls.level += 1
+            cls.peak = max(cls.peak, cls.level)
+        time.sleep(0.02)
+        with cls.lock:
+            cls.level -= 1
+        super().do_POST()
+
+
+def test_classify_batch_keeps_http_requests_within_max_concurrency(scripted_server) -> None:
+    base = scripted_server([(200, _completion("Alpha"))], base=_InFlight)
+    taxonomy = make_taxonomy([("Alpha", "a"), ("Beta", "b")])
+    docs = [Document(id=str(i), text=f"document {i}") for i in range(8)]
+    results = classify_batch(docs, taxonomy, _backend(base, max_concurrency=2))
+    assert [r.predicted for r in results] == ["Alpha"] * 8
+    assert 1 < scripted_server.handlers[0].peak <= 2
 
 
 def test_missing_configuration_rejected(monkeypatch) -> None:

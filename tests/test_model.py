@@ -301,5 +301,3 @@ def test_refinement_config_validation() -> None:
         RefinementConfig(accuracy_threshold=0.0)
     with pytest.raises(ValueError):
         RefinementConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        RefinementConfig(adapt_template="nope")

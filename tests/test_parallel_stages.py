@@ -1,10 +1,12 @@
 """Stage fan-out: bootstrap, contrast and the refine / adapt waves overlap
-their completions under concurrency_cap, yet apply results, suffix names and
-log events in input order, so outputs match a run at concurrency_cap=1.
+their completions up to the backend's max_concurrency, yet apply results,
+suffix names and log events in input order, so outputs match a run at a cap
+of 1.
 """
 
 from __future__ import annotations
 
+import inspect
 import io
 import json
 import sys
@@ -13,7 +15,9 @@ import time
 
 import pytest
 
+import tagcraft
 from helpers import (
+    CappedBackend,
     ScriptedAccuracyBackend,
     StubBackend,
     make_taxonomy,
@@ -31,6 +35,7 @@ from tagcraft import (
     bootstrap_taxonomy,
     contrast_taxonomy,
     refine_loop,
+    revise_topic,
 )
 from tagcraft.backends.base import Backend
 from tagcraft.errors import RefinementAbortedError
@@ -248,11 +253,32 @@ def test_refine_and_adapt_waves_overlap() -> None:
 @pytest.mark.parametrize("cap", [1, 2, 3])
 def test_calls_in_flight_never_exceed_the_cap(tmp_path, cap) -> None:
     path = write_generic_csv(paired_documents(3, 24), tmp_path / "corpus.csv")
-    backend = InFlightBackend(MockBackend())
-    run_experiment(_paired_plan(path), backend, _paired_config(), concurrency_cap=cap)
+    backend = InFlightBackend(CappedBackend(MockBackend(), cap))
+    run_experiment(_paired_plan(path), backend, _paired_config())
     assert backend.peak <= cap
     if cap > 1:
         assert backend.peak > 1  # the cap was reached for, not just respected
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_revise_topic_contrast_follows_the_backend_cap(cap) -> None:
+    # 13 categories make two contrast batches, which overlap only above cap 1.
+    taxonomy = make_taxonomy([(f"Topic{i}", f"Covers word{i}.") for i in range(13)])
+    backend = InFlightBackend(CappedBackend(MockBackend(), cap))
+    result = revise_topic("Topic0", "Documents about word0.", taxonomy, backend, run_contrast=True)
+    assert all(c.history[-1].stage is Stage.CONTRAST for c in result.categories)
+    assert backend.peak == cap
+
+
+def test_no_public_callable_takes_a_concurrency_cap() -> None:
+    # The backend's capabilities().max_concurrency is the one setting.
+    takers = [
+        name
+        for name in tagcraft.__all__
+        if callable(getattr(tagcraft, name))
+        and "concurrency_cap" in inspect.signature(getattr(tagcraft, name)).parameters
+    ]
+    assert takers == []
 
 
 # -- collisions -----------------------------------------------------------------------
@@ -339,9 +365,8 @@ def test_experiment_outputs_are_byte_identical_to_a_serial_run(tmp_path) -> None
         log_buffer = io.StringIO()
         result = run_experiment(
             _paired_plan(path),
-            MockBackend(),
+            CappedBackend(MockBackend(), cap),
             _paired_config(),
-            concurrency_cap=cap,
             log=RunLog(log_buffer),
         )
         out = tmp_path / f"cap{cap}"

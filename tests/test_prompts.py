@@ -21,12 +21,6 @@ _FULL_BINDINGS = {
         "correct_category": "A",
         "category_list": '{"topic_name": "A", "topic_description": "a"}',
     },
-    TemplateId.INTRA_CLASS_DIFF: {
-        "df_subset_right": "- right",
-        "df_subset_wrong": "- wrong",
-        "correct_category": "A",
-        "wrong_category": "B",
-    },
     TemplateId.CLASSIFY: {"document": "text", "descriptor_block": "- A: a"},
 }
 

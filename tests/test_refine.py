@@ -319,17 +319,6 @@ def test_loop_mines_and_adapts_confused_pairs() -> None:
     assert [entry.stage for entry in alpha.history] == [Stage.BOOTSTRAP, Stage.REFINE, Stage.ADAPT]
 
 
-def test_loop_alternate_adaptation_template() -> None:
-    backend = ScriptedAccuracyBackend([{"Alpha": 10, "Beta": 20}, {"Alpha": 20, "Beta": 20}])
-    taxonomy = make_taxonomy([("Alpha", "a"), ("Beta", "b")])
-    docs = scripted_docs(["Alpha", "Beta"], 20)
-    result, report = refine_loop(
-        taxonomy, docs, _loop_config(adapt_template="intra_class_diff"), backend
-    )
-    assert report.per_iteration[0].adapted == [ConfusionPair("Alpha", "Beta", 10)]
-    assert result.categories[0].history[-1].stage is Stage.ADAPT
-
-
 def test_loop_adapt_after_loop_mode_defers_adaptation() -> None:
     backend = ScriptedAccuracyBackend([{"Alpha": 10, "Beta": 20}])
     taxonomy = make_taxonomy([("Alpha", "a"), ("Beta", "b")])
