@@ -49,18 +49,12 @@ def classify(
     backend: Backend,
     *,
     templates_dir: str | Path | None = None,
-    max_prompt_chars: int = MAX_PROMPT_CHARS,
 ) -> ClassificationResult:
     """Score every category for the document and return the argmax, with ties
     broken deterministically by taxonomy order.
     """
     return _classify(
-        document,
-        taxonomy.names(),
-        descriptor_block(taxonomy),
-        backend,
-        templates_dir=templates_dir,
-        max_prompt_chars=max_prompt_chars,
+        document, taxonomy.names(), descriptor_block(taxonomy), backend, templates_dir=templates_dir
     )
 
 
@@ -71,7 +65,6 @@ def _classify(
     backend: Backend,
     *,
     templates_dir: str | Path | None,
-    max_prompt_chars: int,
 ) -> ClassificationResult:
     """classify() against a taxonomy given as its names and descriptor block,
     so a batch builds both once.
@@ -85,10 +78,10 @@ def _classify(
         {"document": document.text, "descriptor_block": block},
         templates_dir=templates_dir,
     )
-    if len(request.user_text) > max_prompt_chars:
+    if len(request.user_text) > MAX_PROMPT_CHARS:
         raise PromptBudgetError(
             f"classification prompt is {len(request.user_text)} chars; "
-            f"budget is {max_prompt_chars} (descriptions are never truncated)"
+            f"budget is {MAX_PROMPT_CHARS} (descriptions are never truncated)"
         )
     try:
         score_map = backend.score_labels(request, names)
@@ -121,7 +114,6 @@ def classify_batch(
     backend: Backend,
     *,
     templates_dir: str | Path | None = None,
-    max_prompt_chars: int = MAX_PROMPT_CHARS,
 ) -> list[BatchItem]:
     """Classify documents concurrently, up to the backend's max_concurrency,
     returning results in input order. Failures are isolated per document as
@@ -134,14 +126,7 @@ def classify_batch(
 
     def one(document: Document) -> BatchItem:
         try:
-            return _classify(
-                document,
-                names,
-                block,
-                backend,
-                templates_dir=templates_dir,
-                max_prompt_chars=max_prompt_chars,
-            )
+            return _classify(document, names, block, backend, templates_dir=templates_dir)
         except Exception as err:
             return ClassificationFailure(document.id, str(err), err)
 

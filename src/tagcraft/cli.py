@@ -11,10 +11,11 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import experiment as xp
 from .backends import Backend, HttpBackend, MockBackend
@@ -101,38 +102,33 @@ def _guarded(fn):
 @click.option("--templates", "templates_dir", type=click.Path(), default=None, help="Template override directory.")
 @click.option("--json-errors", is_flag=True, default=False, help="Emit machine-parseable JSON errors on stderr.")
 @click.pass_context
-def main(ctx, backend_kind, config_path, seed, log_path, templates_dir, json_errors):
+def main(ctx, **params):
     """Zero-shot classification with evolving category descriptions."""
-    config = _load_config(config_path)
-    # Config supplies defaults for global flags not set on the command line.
-    from click.core import ParameterSource
+    # Config keys are flag spellings. Each supplies the default of the flags
+    # it spells, globally and in every subcommand; a key spelling no flag is
+    # a usage error.
+    config = _load_config(params.pop("config_path"))
+    known: set[str] = set()
 
-    def effective(name: str, value, cast):
-        if ctx.get_parameter_source(name) == ParameterSource.DEFAULT and name in config:
-            return cast(config[name])
-        return value
+    def defaults(command: click.Command) -> dict[str, str]:
+        found = {}
+        for param in command.params:
+            for opt in param.opts:
+                key = opt.lstrip("-").replace("-", "_")
+                known.add(key)
+                if key in config:
+                    found[param.name] = config[key]
+        return found
 
-    state = CliState(
-        backend_kind=effective("backend_kind", backend_kind, str),
-        seed=effective("seed", seed, int),
-        log_path=effective("log_path", log_path, str),
-        templates_dir=effective("templates_dir", templates_dir, str),
-        json_errors=effective("json_errors", json_errors, lambda v: v.lower() in ("1", "true", "yes")),
-    )
-    ctx.obj = state
-    if config:
-        # Config keys are flag spellings; translate them to parameter names.
-        default_map: dict[str, dict] = {}
-        for command_name, command in main.commands.items():
-            defaults = {}
-            for param in command.params:
-                for opt in param.opts:
-                    key = opt.lstrip("-").replace("-", "_")
-                    if key in config:
-                        defaults[param.name] = config[key]
-            if defaults:
-                default_map[command_name] = defaults
-        ctx.default_map = default_map
+    flags = defaults(main)
+    ctx.default_map = {name: defaults(command) for name, command in main.commands.items()}
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise click.UsageError(f"config keys that name no flag: {', '.join(unknown)}")
+    for param in main.params:
+        if param.name in flags and ctx.get_parameter_source(param.name) == ParameterSource.DEFAULT:
+            params[param.name] = param.type_cast_value(ctx, flags[param.name])
+    ctx.obj = CliState(**params)
 
 
 def _load_docs(path: str, fmt: str) -> list[Document]:
@@ -208,13 +204,12 @@ def contrast(state: CliState, taxonomy_path, out_path):
 @click.option("--min-confusion", type=int, default=2, show_default=True)
 @click.option("--top-k", type=int, default=3, show_default=True)
 @click.option("--resample", is_flag=True, default=False, help="Fresh validation sample each iteration.")
-@click.option("--adapt-after-loop", is_flag=True, default=False)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--report", "report_path", type=click.Path(), default=None)
 @click.pass_obj
 @_guarded
 def refine(state: CliState, taxonomy_path, validate_path, fmt, label_map, threshold, max_iters,
-           m_validate, min_confusion, top_k, resample, adapt_after_loop, out_path, report_path):
+           m_validate, min_confusion, top_k, resample, out_path, report_path):
     """Run the iterative validate/refine loop against labeled documents."""
     taxonomy = load_taxonomy(taxonomy_path)
     docs = _apply_label_map(_load_docs(validate_path, fmt), label_map)
@@ -226,7 +221,6 @@ def refine(state: CliState, taxonomy_path, validate_path, fmt, label_map, thresh
         min_confusion_count=min_confusion,
         top_k_pairs=top_k,
         resample_validation=resample,
-        adapt_after_loop=adapt_after_loop,
     )
     backend = state.make_backend()
     log = state.open_log()
@@ -239,8 +233,7 @@ def refine(state: CliState, taxonomy_path, validate_path, fmt, label_map, thresh
             log.close()
     save_taxonomy(result, out_path or taxonomy_path)
     report_file = Path(report_path) if report_path else Path(taxonomy_path).with_suffix(".report.json")
-    payload = xp.refinement_to_dict(report)
-    write_text_atomic(report_file, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(report_file, json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
     click.echo(
         f"stopped after {report.iterations_run} iteration(s): {report.stop_reason.value}; "
         f"taxonomy -> {out_path or taxonomy_path}, report -> {report_file}"
@@ -353,7 +346,14 @@ def revise_topic_cmd(state: CliState, taxonomy_path, name, description, from_jso
     click.echo(f"revised {name}")
 
 
-def _run_plan(state: CliState, plan_path: str, out_dir: str, *, write_taxonomy: bool) -> None:
+@main.command(name="run")
+@click.option("--plan", "plan_path", required=True, type=click.Path())
+@click.option("--out", "out_dir", type=click.Path(), default="tagcraft-run", show_default=True)
+@click.pass_obj
+@_guarded
+def run_cmd(state: CliState, plan_path, out_dir):
+    """Full pipeline: bootstrap, contrast, refine, evaluate, add the unseen
+    classes, evaluate again; persists taxonomy, report, and predictions."""
     plan, config = xp.load_plan(plan_path)
     backend = state.make_backend()
     log = state.open_log()
@@ -369,33 +369,12 @@ def _run_plan(state: CliState, plan_path: str, out_dir: str, *, write_taxonomy: 
     finally:
         if log:
             log.close()
-    report_path = xp.persist_result(result, out_dir, write_taxonomy=write_taxonomy)
+    report_path = xp.persist_result(result, out_dir)
     click.echo(
         f"phase1 accuracy {result.phase1.overall_accuracy:.3f}; "
         f"phase2 accuracy {result.phase2.overall_accuracy:.3f}; "
         f"seen-class shift {result.accuracy_shift:+.3f}; report -> {report_path}"
     )
-
-
-@main.command(name="eval")
-@click.option("--plan", "plan_path", required=True, type=click.Path())
-@click.option("--out", "out_dir", type=click.Path(), default="tagcraft-eval", show_default=True)
-@click.pass_obj
-@_guarded
-def eval_cmd(state: CliState, plan_path, out_dir):
-    """Run the experiment protocol and write the evaluation report."""
-    _run_plan(state, plan_path, out_dir, write_taxonomy=False)
-
-
-@main.command(name="run")
-@click.option("--plan", "plan_path", required=True, type=click.Path())
-@click.option("--out", "out_dir", type=click.Path(), default="tagcraft-run", show_default=True)
-@click.pass_obj
-@_guarded
-def run_cmd(state: CliState, plan_path, out_dir):
-    """Full pipeline: bootstrap, contrast, refine, evaluate, add the unseen
-    classes, evaluate again; persists taxonomy, report, and predictions."""
-    _run_plan(state, plan_path, out_dir, write_taxonomy=True)
 
 
 if __name__ == "__main__":

@@ -125,29 +125,27 @@ def contrast_taxonomy(
     taxonomy: Taxonomy,
     backend: Backend,
     *,
-    batch_size: int = CONTRAST_BATCH_SIZE,
     templates_dir: str | Path | None = None,
 ) -> Taxonomy:
     """Rewrite every description so that each category states how it differs
     from the others. Category names, count, and order never change; replies
     naming unknown categories are ignored; categories missing from the reply
-    keep their current description. Batches are requested concurrently and
-    merged in batch order, so the first reply naming a category wins.
+    keep their current description. Categories go CONTRAST_BATCH_SIZE to a
+    prompt; batches are requested concurrently and merged in batch order, so
+    the first reply naming a category wins.
 
     Raises:
-        ValueError: fewer than two categories, or ``batch_size`` below 1.
+        ValueError: fewer than two categories.
         ContrastDroppedAllError: when no reply matched any existing name;
             the input taxonomy is returned unchanged to the caller's hands.
     """
     if len(taxonomy) < 2:
         raise ValueError("contrast requires at least two categories")
-    if batch_size < 1:
-        raise ValueError(f"contrast batch_size must be at least 1, got {batch_size}")
     name_list = ", ".join(taxonomy.names())
     categories = list(taxonomy.categories)
     requests = []
-    for start in range(0, len(categories), batch_size):
-        batch = categories[start : start + batch_size]
+    for start in range(0, len(categories), CONTRAST_BATCH_SIZE):
+        batch = categories[start : start + CONTRAST_BATCH_SIZE]
         block = "\n\n".join(descriptor_to_json(c.descriptor) for c in batch)
         binding = f"All categories: {name_list}\n\n{block}"
         requests.append(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -138,37 +138,10 @@ def load_dataset(plan: ExperimentPlan) -> list[Document]:
     return load_generic_csv(plan.data_path)
 
 
-def plan_to_dict(plan: ExperimentPlan) -> dict:
-    return {
-        "dataset": plan.dataset.value,
-        "data_path": plan.data_path,
-        "seen_labels": list(plan.seen_labels),
-        "unseen_labels": list(plan.unseen_labels),
-        "n_bootstrap": plan.n_bootstrap,
-        "m_validate": plan.m_validate,
-        "test_per_class": plan.test_per_class,
-        "seed": plan.seed,
-    }
-
-
-def config_to_dict(config: RefinementConfig) -> dict:
-    return {
-        "n_bootstrap": config.n_bootstrap,
-        "m_validate": config.m_validate,
-        "accuracy_threshold": config.accuracy_threshold,
-        "max_iterations": config.max_iterations,
-        "seed": config.seed,
-        "sampling_strategy": config.sampling_strategy.value,
-        "min_confusion_count": config.min_confusion_count,
-        "top_k_pairs": config.top_k_pairs,
-        "resample_validation": config.resample_validation,
-        "adapt_after_loop": config.adapt_after_loop,
-    }
-
-
 def load_plan(path: str | Path) -> tuple[ExperimentPlan, RefinementConfig]:
     """Read a plan JSON file; an optional "refinement" object supplies
-    RefinementConfig fields (defaulting M and N from the plan).
+    RefinementConfig fields (defaulting M and N from the plan). A key that
+    names no field is a SchemaError, at the top level as in "refinement".
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -177,6 +150,9 @@ def load_plan(path: str | Path) -> tuple[ExperimentPlan, RefinementConfig]:
     except json.JSONDecodeError as err:
         raise SchemaError(f"plan {path} is not valid JSON: {err}") from err
     try:
+        unknown = set(data) - {f.name for f in fields(ExperimentPlan)} - {"refinement"}
+        if unknown:
+            raise ValueError(f"unknown keys {', '.join(sorted(unknown))}")
         plan = ExperimentPlan(
             dataset=DatasetKind(data["dataset"]),
             data_path=data["data_path"],
@@ -387,8 +363,11 @@ def _report_to_dict(report: EvalReport) -> dict:
 
 
 def result_to_dict(result: ExperimentResult) -> dict:
-    plan_dict = plan_to_dict(result.plan)
-    config_dict = config_to_dict(result.config)
+    """report.json as a dict. The enums subclass str and json.dumps writes
+    tuples as lists, so asdict() output needs no custom encoder.
+    """
+    plan_dict = asdict(result.plan)
+    config_dict = asdict(result.config)
     fingerprint = hashlib.sha256(
         json.dumps({"plan": plan_dict, "config": config_dict}, sort_keys=True).encode("utf-8")
     ).hexdigest()
@@ -400,35 +379,12 @@ def result_to_dict(result: ExperimentResult) -> dict:
         "phase1": _report_to_dict(result.phase1),
         "phase2": _report_to_dict(result.phase2),
         "accuracy_shift": result.accuracy_shift,
-        "refinement": refinement_to_dict(result.refinement),
+        "refinement": asdict(result.refinement),
     }
 
 
-def refinement_to_dict(report: RefinementReport) -> dict:
-    """The refinement trace as written into report.json and by the CLI
-    ``refine`` command."""
-    return {
-        "iterations_run": report.iterations_run,
-        "stop_reason": report.stop_reason.value,
-        "per_iteration": [
-            {
-                "index": record.index,
-                "accuracy": record.accuracy,
-                "refined": record.refined,
-                "adapted": [
-                    {"correct": pair.correct, "wrong": pair.wrong, "count": pair.count}
-                    for pair in record.adapted
-                ],
-            }
-            for record in report.per_iteration
-        ],
-    }
-
-
-def persist_result(
-    result: ExperimentResult, out_dir: str | Path, *, write_taxonomy: bool = True
-) -> Path:
-    """Write report.json (and predictions.jsonl, taxonomy.json) into out_dir.
+def persist_result(result: ExperimentResult, out_dir: str | Path) -> Path:
+    """Write report.json, predictions.jsonl and taxonomy.json into out_dir.
     Output is deterministic: no timestamps, sorted keys. Each file is
     replaced atomically.
     """
@@ -454,6 +410,5 @@ def persist_result(
             for record in result.predictions
         ),
     )
-    if write_taxonomy:
-        save_taxonomy(result.taxonomy, out / "taxonomy.json")
+    save_taxonomy(result.taxonomy, out / "taxonomy.json")
     return report_path

@@ -249,8 +249,6 @@ class RefinementConfig:
     top_k_pairs: int = 3
     # Fresh validation sample per iteration instead of re-using one subset.
     resample_validation: bool = False
-    # Run pair adaptation once after the loop instead of inside each iteration.
-    adapt_after_loop: bool = False
 
     def __post_init__(self) -> None:
         if self.n_bootstrap < 1 or self.m_validate < 1:

@@ -32,9 +32,9 @@ class TemplateId(enum.Enum):
     CLASSIFY = "classify"
 
 
-# Generous default completion budgets per stage; classification only needs
-# to emit a single category name.
-_DEFAULT_MAX_TOKENS = {
+# Generous completion budgets per stage; classification only needs to emit a
+# single category name. Prompts keep PromptRequest's temperature of 0.
+MAX_OUTPUT_TOKENS = {
     TemplateId.TAG_GENERATION: 512,
     TemplateId.CONTRAST: 2048,
     TemplateId.INTER_CLASS_ADAPT: 512,
@@ -63,8 +63,6 @@ def render(
     bindings: Mapping[str, str],
     *,
     templates_dir: str | Path | None = None,
-    temperature: float = 0.0,
-    max_output_tokens: int | None = None,
 ) -> PromptRequest:
     """Substitute bindings into the template and wrap the result in a
     PromptRequest. Unused bindings are ignored; an unbound placeholder
@@ -76,21 +74,14 @@ def render(
     except IndexError as err:
         raise UnboundPlaceholderError(str(err)) from err
     return PromptRequest(
-        user_text=rendered.strip() + "\n",
-        temperature=temperature,
-        max_output_tokens=max_output_tokens or _DEFAULT_MAX_TOKENS[template],
+        user_text=rendered.strip() + "\n", max_output_tokens=MAX_OUTPUT_TOKENS[template]
     )
 
 
-def format_sample_block(texts: Iterable[str], char_budget: int = SAMPLE_CHAR_BUDGET) -> str:
+def format_sample_block(texts: Iterable[str]) -> str:
     """Render sample documents one per line ("- <text>"), squashing internal
-    newlines and truncating each to the character budget. Empty input
-    renders as "(none)".
+    newlines and truncating each to SAMPLE_CHAR_BUDGET characters. Empty
+    input renders as "(none)".
     """
-    lines = []
-    for text in texts:
-        flattened = " ".join(text.split())
-        if len(flattened) > char_budget:
-            flattened = flattened[:char_budget]
-        lines.append(f"- {flattened}")
+    lines = [f"- {' '.join(text.split())[:SAMPLE_CHAR_BUDGET]}" for text in texts]
     return "\n".join(lines) if lines else "(none)"

@@ -217,10 +217,11 @@ def adapt_pair(
     iteration: int = 0,
     templates_dir: str | Path | None = None,
     log: RunLog | None = None,
-) -> Taxonomy:
-    """Sharpen the description of ``pair.correct`` against ``pair.wrong``
-    using the validation samples behind the confusion cell. Invoked once per
-    direction of a confused pair.
+) -> TopicDescriptor:
+    """Return a sharpened description of ``pair.correct`` against
+    ``pair.wrong``, written from the validation samples behind the confusion
+    cell and named as ``pair.correct`` is in the taxonomy. Invoked once per
+    direction of a confused pair; the caller upserts the result.
     """
     correct_category = taxonomy.get(pair.correct)
     wrong_category = taxonomy.get(pair.wrong)
@@ -257,8 +258,7 @@ def adapt_pair(
         category=correct_category.name,
         pair=(pair.correct, pair.wrong),
     )
-    descriptor = replace(descriptor, topic_name=correct_category.name)
-    return taxonomy_upsert(taxonomy, descriptor, Stage.ADAPT, iteration)
+    return replace(descriptor, topic_name=correct_category.name)
 
 
 def _wave(
@@ -290,41 +290,6 @@ def _wave(
         if error is not None:
             raise error
         yield item, result
-
-
-def _adapt_wave(
-    pairs: Sequence[ConfusionPair],
-    outcome: ValidationOutcome,
-    taxonomy: Taxonomy,
-    record: IterationRecord,
-    backend: Backend,
-    *,
-    templates_dir: str | Path | None,
-    log: RunLog | None,
-) -> Taxonomy:
-    """Adapt every pair against one taxonomy snapshot and apply the new
-    descriptors in pair order. An adaptation prompt reads only the pair's
-    names and the validation outcome, never a description, so the pairs do
-    not depend on one another.
-    """
-
-    def adapt(pair: ConfusionPair, pair_log: RunLog | None) -> Taxonomy:
-        return adapt_pair(
-            pair,
-            outcome,
-            taxonomy,
-            backend,
-            iteration=record.index,
-            templates_dir=templates_dir,
-            log=pair_log,
-        )
-
-    current = taxonomy
-    for pair, result in _wave(adapt, pairs, backend, log):
-        descriptor = result.get(pair.correct).descriptor
-        current = taxonomy_upsert(current, descriptor, Stage.ADAPT, record.index)
-        record.adapted.append(pair)
-    return current
 
 
 def _validation_subset(
@@ -379,7 +344,10 @@ def refine_loop(
     below-threshold category, adapt the mined confusion pairs, and continue.
     Exhausting the iteration budget stops with MAX_ITERATIONS. The refines of
     one iteration run concurrently from the same snapshot, then the
-    adaptations do; both are applied and logged in taxonomy / pair order.
+    adaptations do from the refined one; both are applied and logged in
+    taxonomy / pair order, one upsert per refined category or adapted pair.
+    An adaptation prompt reads only the pair's names and the validation
+    outcome, never a description, so the pairs do not depend on one another.
 
     On a stage failure the partial iteration records are attached to a
     RefinementAbortedError whose __cause__ is the original error.
@@ -387,12 +355,10 @@ def refine_loop(
     records: list[IterationRecord] = []
     current = taxonomy
     stop = StopReason.MAX_ITERATIONS
-    last_outcome: ValidationOutcome | None = None
     try:
         for iteration in range(1, config.max_iterations + 1):
             docs = _validation_subset(validation_docs, config, iteration)
             outcome = validate_category_set(current, docs, backend, templates_dir=templates_dir)
-            last_outcome = outcome
             accuracies = outcome.per_category_accuracy
             minimum = min(accuracies.values(), default=1.0)
             if log:
@@ -423,32 +389,26 @@ def refine_loop(
             for category, descriptor in _wave(refine, below, backend, log):
                 current = taxonomy_upsert(current, descriptor, Stage.REFINE, iteration)
                 record.refined.append(category.name)
-            if not config.adapt_after_loop:
-                pairs = mine_confusion_pairs(
-                    outcome.matrix, config.min_confusion_count, config.top_k_pairs
-                )
-                current = _adapt_wave(
-                    pairs,
+
+            snapshot = current
+
+            def adapt(pair: ConfusionPair, pair_log: RunLog | None) -> TopicDescriptor:
+                return adapt_pair(
+                    pair,
                     outcome,
-                    current,
-                    record,
+                    snapshot,
                     backend,
+                    iteration=iteration,
                     templates_dir=templates_dir,
-                    log=log,
+                    log=pair_log,
                 )
-        if config.adapt_after_loop and last_outcome is not None and records:
+
             pairs = mine_confusion_pairs(
-                last_outcome.matrix, config.min_confusion_count, config.top_k_pairs
+                outcome.matrix, config.min_confusion_count, config.top_k_pairs
             )
-            current = _adapt_wave(
-                pairs,
-                last_outcome,
-                current,
-                records[-1],
-                backend,
-                templates_dir=templates_dir,
-                log=log,
-            )
+            for pair, descriptor in _wave(adapt, pairs, backend, log):
+                current = taxonomy_upsert(current, descriptor, Stage.ADAPT, iteration)
+                record.adapted.append(pair)
     except Exception as err:
         raise RefinementAbortedError(
             f"refinement aborted at iteration {len(records)}: {err}", records

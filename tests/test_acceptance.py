@@ -289,12 +289,13 @@ def test_criterion_6_name_set_invariance_under_random_replies() -> None:
             reply = json.dumps(
                 {"topic_name": f"Rogue_{rng.randrange(1000)}", "topic_description": "new"}
             )
-            taxonomy = adapt_pair(
+            descriptor = adapt_pair(
                 ConfusionPair(correct, wrong, 2),
                 outcome,
                 taxonomy,
                 StubBackend(completions=[reply]),
             )
+            taxonomy = taxonomy_upsert(taxonomy, descriptor, Stage.ADAPT, 1)
             expected = before
         else:
             new_name = f"Fresh_{rng.randrange(1000)}"

@@ -48,10 +48,12 @@ def test_empty_document_rejected(mock_backend: MockBackend) -> None:
         classify(Document(id="d", text="   "), taxonomy, mock_backend)
 
 
-def test_prompt_budget_fails_loudly(mock_backend: MockBackend) -> None:
-    taxonomy = make_taxonomy([("A", "word " * 2000)])
+def test_prompt_budget_fails_loudly() -> None:
+    taxonomy = make_taxonomy([("A", "a")])
+    backend = _score_backend({"A": 0.0})
     with pytest.raises(PromptBudgetError):
-        classify(Document(id="d", text="t"), taxonomy, mock_backend, max_prompt_chars=500)
+        classify(Document(id="d", text="x" * 200_001), taxonomy, backend)
+    assert backend.score_calls == 0
 
 
 def test_fallback_parse_error_surfaces_as_classification_failed() -> None:

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from click.testing import CliRunner
@@ -10,7 +10,6 @@ from helpers import class_vocab, keyword_documents, write_generic_csv, write_pla
 from tagcraft import Document, MockBackend, RefinementConfig, refine_loop
 from tagcraft.cli import main
 from tagcraft.datasets import load_generic_csv
-from tagcraft.experiment import refinement_to_dict
 from tagcraft.model import load_taxonomy
 
 
@@ -124,7 +123,7 @@ def test_refine_report_is_the_experiment_refinement_serializer(runner, corpus_cs
     config = RefinementConfig(m_validate=10, max_iterations=2, min_confusion_count=1)
     _, report = refine_loop(load_taxonomy(out), docs, config, MockBackend(seed=0))
     assert any(record.refined and record.adapted for record in report.per_iteration)
-    expected = json.dumps(refinement_to_dict(report), indent=2, sort_keys=True) + "\n"
+    expected = json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "tax.report.json").read_text(encoding="utf-8") == expected
 
 
@@ -206,23 +205,6 @@ def test_add_topic_duplicate_exits_nonzero_with_json_error(runner, corpus_csv, t
     assert payload["error"] == "DuplicateNameError"
 
 
-def test_eval_command_writes_report(runner, tmp_path) -> None:
-    docs = keyword_documents(class_vocab(3), per_class=30, seed=31)
-    corpus = write_generic_csv(docs, tmp_path / "c.csv")
-    plan = write_plan(
-        tmp_path / "plan.json", corpus,
-        seen=["ClassA", "ClassB"], unseen=["ClassC"],
-        n_bootstrap=5, m_validate=5, test_per_class=10, seed=2,
-    )
-    result = runner.invoke(
-        main, ["eval", "--plan", str(plan), "--out", str(tmp_path / "evalout")]
-    )
-    assert result.exit_code == 0, result.output
-    report = json.loads((tmp_path / "evalout" / "report.json").read_text(encoding="utf-8"))
-    assert report["phase2"]["n_documents"] == 30
-    assert not (tmp_path / "evalout" / "taxonomy.json").exists()
-
-
 def test_run_command_persists_taxonomy_too(runner, tmp_path) -> None:
     docs = keyword_documents(class_vocab(3), per_class=30, seed=31)
     corpus = write_generic_csv(docs, tmp_path / "c.csv")
@@ -233,6 +215,8 @@ def test_run_command_persists_taxonomy_too(runner, tmp_path) -> None:
     )
     result = runner.invoke(main, ["run", "--plan", str(plan), "--out", str(tmp_path / "runout")])
     assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "runout" / "report.json").read_text(encoding="utf-8"))
+    assert report["phase2"]["n_documents"] == 30
     assert (tmp_path / "runout" / "taxonomy.json").exists()
     assert (tmp_path / "runout" / "predictions.jsonl").exists()
 
@@ -288,6 +272,28 @@ def test_config_file_supplies_defaults_and_flags_override(runner, corpus_csv, tm
         ],
     )
     assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["max_iter = 1", "adapt_after_loop = true"],
+    ids=["misspelt-max-iters", "removed-adapt-after-loop"],
+)
+def test_config_key_naming_no_flag_is_a_usage_error(runner, corpus_csv, tmp_path, line) -> None:
+    out = _bootstrap(runner, corpus_csv, tmp_path)
+    config = tmp_path / "conf.txt"
+    config.write_text(f"seed = 4\n{line}\n", encoding="utf-8")
+    result = runner.invoke(
+        main,
+        [
+            "--config", str(config),
+            "refine", "--taxonomy", str(out), "--validate", str(corpus_csv),
+            "--label-map", str(tmp_path / "tax.labels.json"), "--m", "10",
+        ],
+    )
+    assert result.exit_code == 2, result.output
+    assert line.split(" = ")[0] in result.output
+    assert not (tmp_path / "tax.report.json").exists()
 
 
 def test_templates_flag_overrides_shipped_prompt(runner, corpus_csv, tmp_path) -> None:

@@ -177,7 +177,7 @@ def test_contrast_batches_large_taxonomies() -> None:
 
     backend = StubBackend(completions=[echo_descriptors])
     taxonomy = make_taxonomy([(n, f"about {n}") for n in names])
-    result = contrast_taxonomy(taxonomy, backend, batch_size=12)
+    result = contrast_taxonomy(taxonomy, backend)
     assert len(backend.prompts) == 3  # 12 + 12 + 1
     for prompt in backend.prompts:
         assert f"All categories: {', '.join(names)}" in prompt
@@ -185,14 +185,3 @@ def test_contrast_batches_large_taxonomies() -> None:
     for category in result.categories:
         assert category.descriptor.topic_description.endswith(" v2")
         assert len(category.history) == 2
-
-
-@pytest.mark.parametrize("batch_size", [0, -1])
-def test_contrast_rejects_batch_size_below_one_before_any_call(batch_size: int) -> None:
-    backend = StubBackend(
-        completions=['{"topic_name": "Alpha", "topic_description": "unused."}']
-    )
-    taxonomy = make_taxonomy([("Alpha", "a"), ("Beta", "b"), ("Gamma", "c")])
-    with pytest.raises(ValueError, match="batch_size"):
-        contrast_taxonomy(taxonomy, backend, batch_size=batch_size)
-    assert backend.prompts == []

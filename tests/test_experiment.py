@@ -169,12 +169,22 @@ def test_load_plan_round_trip(tmp_path, corpus_csv) -> None:
 
 
 def test_load_plan_rejects_the_removed_adapt_template_field(tmp_path, corpus_csv) -> None:
-    plan_path = write_plan(
-        tmp_path / "plan.json",
-        corpus_csv,
-        seen=["ClassA", "ClassB"],
-        unseen=[],
-        refinement={"adapt_template": "inter_class_adapt"},
-    )
-    with pytest.raises(SchemaError):
+    for refinement in ({"adapt_template": "inter_class_adapt"}, {"adapt_after_loop": True}):
+        plan_path = write_plan(
+            tmp_path / "plan.json",
+            corpus_csv,
+            seen=["ClassA", "ClassB"],
+            unseen=[],
+            refinement=refinement,
+        )
+        with pytest.raises(SchemaError):
+            load_plan(plan_path)
+
+
+def test_load_plan_rejects_unknown_top_level_keys(tmp_path, corpus_csv) -> None:
+    plan_path = write_plan(tmp_path / "plan.json", corpus_csv, seen=["ClassA", "ClassB"], unseen=[])
+    data = json.loads(plan_path.read_text(encoding="utf-8"))
+    data.update({"m_valdiate": 5, "test_per_clas": 3})
+    plan_path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(SchemaError, match="m_valdiate"):
         load_plan(plan_path)

@@ -36,6 +36,7 @@ from tagcraft import (
     contrast_taxonomy,
     refine_loop,
     revise_topic,
+    taxonomy_upsert,
 )
 from tagcraft.backends.base import Backend
 from tagcraft.errors import RefinementAbortedError
@@ -227,8 +228,9 @@ def test_bootstrap_completions_overlap() -> None:
 
 def test_contrast_batches_overlap() -> None:
     backend = BarrierBackend(MockBackend())
-    taxonomy = make_taxonomy([("Alpha", "aqua"), ("Beta", "brick"), ("Gamma", "cedar")])
-    result = contrast_taxonomy(taxonomy, backend, batch_size=2)
+    # 13 categories make two contrast batches.
+    taxonomy = make_taxonomy([(f"Topic{i}", f"Covers word{i}.") for i in range(13)])
+    result = contrast_taxonomy(taxonomy, backend)
     assert result.names() == taxonomy.names()
     assert all(c.history[-1].stage is Stage.CONTRAST for c in result.categories)
 
@@ -271,14 +273,23 @@ def test_revise_topic_contrast_follows_the_backend_cap(cap) -> None:
 
 
 def test_no_public_callable_takes_a_concurrency_cap() -> None:
-    # The backend's capabilities().max_concurrency is the one setting.
+    # The backend's capabilities().max_concurrency is the one concurrency
+    # setting, and the stage knobs that only ever held one value are
+    # constants; none of them may come back as a parameter or config field.
+    removed = ("concurrency_cap", "max_prompt_chars", "batch_size", "char_budget", "adapt_after_loop")
     takers = [
-        name
+        (name, knob)
         for name in tagcraft.__all__
         if callable(getattr(tagcraft, name))
-        and "concurrency_cap" in inspect.signature(getattr(tagcraft, name)).parameters
+        for knob in removed
+        if knob in inspect.signature(getattr(tagcraft, name)).parameters
     ]
     assert takers == []
+    assert list(inspect.signature(tagcraft.render).parameters) == [
+        "template",
+        "bindings",
+        "templates_dir",
+    ]
 
 
 # -- collisions -----------------------------------------------------------------------
@@ -356,6 +367,25 @@ def _paired_plan(path) -> ExperimentPlan:
 
 def _paired_config() -> RefinementConfig:
     return RefinementConfig(n_bootstrap=6, m_validate=8, max_iterations=2, accuracy_threshold=0.95)
+
+
+def test_refine_loop_upserts_each_refined_and_adapted_category_once(tmp_path, monkeypatch) -> None:
+    path = write_generic_csv(paired_documents(3, 24), tmp_path / "corpus.csv")
+    upserts = []
+
+    def counting_upsert(*args, **kwargs):
+        upserts.append(args[2])
+        return taxonomy_upsert(*args, **kwargs)
+
+    monkeypatch.setattr(tagcraft.refine, "taxonomy_upsert", counting_upsert)
+    result = run_experiment(_paired_plan(path), MockBackend(), _paired_config())
+    records = result.refinement.per_iteration
+    refined = sum(len(record.refined) for record in records)
+    adapted = sum(len(record.adapted) for record in records)
+    assert refined >= 2 and adapted >= 2  # both waves ran, or the count shows nothing
+    assert upserts.count(Stage.REFINE) == refined
+    assert upserts.count(Stage.ADAPT) == adapted
+    assert len(upserts) == refined + adapted
 
 
 def test_experiment_outputs_are_byte_identical_to_a_serial_run(tmp_path) -> None:

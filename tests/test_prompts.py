@@ -96,7 +96,7 @@ def test_sample_block_one_document_per_line() -> None:
 
 
 def test_sample_block_truncates_to_budget() -> None:
-    block = format_sample_block(["x" * 600], char_budget=500)
+    block = format_sample_block(["x" * 600])
     assert block == "- " + "x" * 500
 
 

@@ -19,6 +19,7 @@ from tagcraft import (
     mine_confusion_pairs,
     refine_description,
     refine_loop,
+    taxonomy_upsert,
     validate_category_set,
 )
 from tagcraft.errors import (
@@ -215,12 +216,12 @@ def _outcome_for_pair() -> ValidationOutcome:
 def test_adapt_both_directions_appends_one_entry_per_category(mock_backend) -> None:
     taxonomy = make_taxonomy([("Software_Auth", "software"), ("Hardware_Auth", "hardware")])
     outcome = _outcome_for_pair()
-    taxonomy = adapt_pair(
-        ConfusionPair("Software_Auth", "Hardware_Auth", 2), outcome, taxonomy, mock_backend
-    )
-    taxonomy = adapt_pair(
-        ConfusionPair("Hardware_Auth", "Software_Auth", 2), outcome, taxonomy, mock_backend
-    )
+    for pair in (
+        ConfusionPair("Software_Auth", "Hardware_Auth", 2),
+        ConfusionPair("Hardware_Auth", "Software_Auth", 2),
+    ):
+        descriptor = adapt_pair(pair, outcome, taxonomy, mock_backend)
+        taxonomy = taxonomy_upsert(taxonomy, descriptor, Stage.ADAPT, 0)
     for category in taxonomy.categories:
         assert len(category.history) == 2
         assert category.history[-1].stage is Stage.ADAPT
@@ -317,17 +318,6 @@ def test_loop_mines_and_adapts_confused_pairs() -> None:
     assert report.per_iteration[0].adapted == [ConfusionPair("Alpha", "Beta", 10)]
     alpha = result.categories[0]
     assert [entry.stage for entry in alpha.history] == [Stage.BOOTSTRAP, Stage.REFINE, Stage.ADAPT]
-
-
-def test_loop_adapt_after_loop_mode_defers_adaptation() -> None:
-    backend = ScriptedAccuracyBackend([{"Alpha": 10, "Beta": 20}])
-    taxonomy = make_taxonomy([("Alpha", "a"), ("Beta", "b")])
-    docs = scripted_docs(["Alpha", "Beta"], 20)
-    result, report = refine_loop(
-        taxonomy, docs, _loop_config(adapt_after_loop=True, max_iterations=2), backend
-    )
-    assert report.per_iteration[0].adapted == []
-    assert report.per_iteration[-1].adapted == [ConfusionPair("Alpha", "Beta", 10)]
 
 
 def test_loop_aborts_with_partial_report() -> None:
