@@ -6,6 +6,9 @@ from its own validation mistakes. New categories integrate at runtime from
 a plain-language definition, without any model training.
 """
 
+# Set before the imports below: the HTTP backend reads it for its User-Agent.
+__version__ = "0.1.0"
+
 from .backends import (
     Backend,
     BackendCapabilities,
@@ -55,8 +58,6 @@ from .refine import (
     validate_category_set,
 )
 from .topics import add_topic, revise_topic
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Backend",

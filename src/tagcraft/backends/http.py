@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import http.client
+import json
 import logging
 import os
+import select
+import ssl
+import threading
 import time
+import urllib.parse
 from typing import Sequence
 
-import requests
-
+from .. import __version__
 from ..errors import (
     BackendRejectedError,
     FallbackParseError,
@@ -32,14 +37,22 @@ ENV_BASE_URL = "LLM_BASE_URL"
 ENV_API_KEY = "LLM_API_KEY"
 ENV_MODEL = "LLM_MODEL"
 
+# Longest wait a numeric Retry-After header on a 429 or 503 may ask for.
+RETRY_AFTER_MAX_S = 30.0
+
 
 class HttpBackend(Backend):
     """Client for a chat-completions endpoint (``POST {base_url}/v1/chat/completions``).
 
     Retries RateLimited and TransportError with bounded exponential backoff
-    (max_retries additional attempts); 4xx rejections are never retried.
-    ``max_concurrency`` is reported through capabilities(); the stages that
-    fan calls out keep at most that many in flight.
+    (max_retries additional attempts), or after the numeric ``Retry-After``
+    of a 429 or 503; 4xx rejections are never retried. ``max_concurrency`` is
+    reported through capabilities(); the stages that fan calls out keep at
+    most that many in flight.
+
+    Connections are kept alive between calls. A call takes an idle one (or
+    opens one) and gives it back when the reply has been read, so no two
+    threads ever use one connection at a time.
     """
 
     def __init__(
@@ -52,7 +65,6 @@ class HttpBackend(Backend):
         backoff_base: float = 0.5,
         max_concurrency: int = 4,
         top_logprobs: int = 20,
-        session: requests.Session | None = None,
     ):
         self.base_url = (base_url or os.environ.get(ENV_BASE_URL, "")).rstrip("/")
         self.api_key = api_key if api_key is not None else os.environ.get(ENV_API_KEY, "")
@@ -61,6 +73,18 @@ class HttpBackend(Backend):
             raise ValueError(f"no base URL configured (set {ENV_BASE_URL})")
         if not self.model:
             raise ValueError(f"no model configured (set {ENV_MODEL})")
+        url = urllib.parse.urlsplit(self.base_url)
+        # Credentials, a query or a fragment would be dropped from every request.
+        extras = url.username is not None or url.query or url.fragment
+        if url.scheme not in ("http", "https") or not url.hostname or extras:
+            raise ValueError(f"base URL must be http(s)://host[:port][/path], got {self.base_url!r}")
+        self._host, self._port = url.hostname, url.port  # .port rejects a bad port
+        self._tls = ssl.create_default_context() if url.scheme == "https" else None
+        self._path = f"{url.path}/v1/chat/completions"
+        self._url = f"{self.base_url}/v1/chat/completions"
+        self._headers = {"Content-Type": "application/json", "User-Agent": f"tagcraft/{__version__}"}
+        if self.api_key:
+            self._headers["Authorization"] = f"Bearer {self.api_key}"
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
@@ -68,10 +92,18 @@ class HttpBackend(Backend):
         self._capabilities = BackendCapabilities(
             supports_label_scoring=True, model_id=self.model, max_concurrency=max_concurrency
         )
-        self._session = session or requests.Session()
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
 
     def capabilities(self) -> BackendCapabilities:
         return self._capabilities
+
+    def close(self) -> None:
+        """Close the idle kept connections."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
 
     # -- transport ----------------------------------------------------------
 
@@ -91,38 +123,67 @@ class HttpBackend(Backend):
             payload["top_logprobs"] = self.top_logprobs
         return payload
 
+    def _connection(self) -> http.client.HTTPConnection:
+        """An idle connection the server has not closed, or a new one."""
+        while True:
+            with self._idle_lock:
+                if not self._idle:
+                    break
+                connection = self._idle.pop()
+            if not _closed_by_server(connection):
+                return connection
+            connection.close()
+        if self._tls is None:
+            return http.client.HTTPConnection(self._host, self._port, timeout=self.timeout)
+        return http.client.HTTPSConnection(
+            self._host, self._port, timeout=self.timeout, context=self._tls
+        )
+
+    def _send(self, body: bytes) -> tuple[int, str | None, bytes]:
+        """One POST; returns the status, the Retry-After header and the body."""
+        connection = self._connection()
+        try:
+            connection.request("POST", self._path, body, self._headers)
+            response = connection.getresponse()
+            data = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(connection)
+        return response.status, response.getheader("Retry-After"), data
+
     def _post(self, payload: dict) -> dict:
-        url = f"{self.base_url}/v1/chat/completions"
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         last_error: Exception | None = None
+        delay: float | None = None  # set by a Retry-After header
         for attempt in range(self.max_retries + 1):
             if attempt:
-                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
+                time.sleep(self.backoff_base * (2 ** (attempt - 1)) if delay is None else delay)
+            delay = None
             try:
-                response = self._session.post(
-                    url, json=payload, headers=headers, timeout=self.timeout
-                )
-            except requests.RequestException as err:
-                last_error = TransportError(f"request to {url} failed: {err}")
+                status, retry_after, data = self._send(body)
+            except (OSError, http.client.HTTPException) as err:
+                last_error = TransportError(f"request to {self._url} failed: {err}")
                 logger.warning("transport failure (attempt %d): %s", attempt + 1, err)
                 continue
-            if response.status_code == 429:
-                last_error = RateLimitedError(f"rate limited by {url}")
+            if status in (429, 503):
+                delay = _retry_after_s(retry_after)
+            if status == 429:
+                last_error = RateLimitedError(f"rate limited by {self._url}")
                 logger.warning("rate limited (attempt %d)", attempt + 1)
                 continue
-            if 400 <= response.status_code < 500:
-                raise BackendRejectedError(
-                    f"backend rejected request ({response.status_code}): {response.text[:500]}"
-                )
-            if response.status_code >= 500:
-                last_error = TransportError(
-                    f"server error {response.status_code} from {url}"
-                )
+            if 400 <= status < 500:
+                text = data.decode("utf-8", errors="replace")
+                raise BackendRejectedError(f"backend rejected request ({status}): {text[:500]}")
+            if status >= 500:
+                last_error = TransportError(f"server error {status} from {self._url}")
                 continue
             try:
-                return response.json()
+                return json.loads(data)
             except ValueError as err:
                 last_error = TransportError(f"malformed JSON response: {err}")
                 continue
@@ -140,10 +201,11 @@ class HttpBackend(Backend):
         data = self._post(self._payload(request, want_logprobs=True))
         entries = self._logprob_entries(data)
         if entries:
+            table = _option_table(entries)
             scores: dict[str, float] = {}
             realized = 0
             for name in names:
-                logprob = _align_logprob(name, entries)
+                logprob = _align_logprob(name, table)
                 if logprob is None:
                     scores[name] = NEG_SENTINEL
                 else:
@@ -172,40 +234,86 @@ class HttpBackend(Backend):
         return entries if isinstance(entries, list) else []
 
 
-def _align_logprob(candidate: str, entries: list[dict]) -> float | None:
+def _closed_by_server(connection: http.client.HTTPConnection) -> bool:
+    """Whether a kept connection is readable while no request is out, which
+    means the server closed it (or sent bytes nobody asked for). The same
+    zero-timeout check urllib3 makes before reuse."""
+    sock = connection.sock
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+def _retry_after_s(header: str | None) -> float | None:
+    """The wait a numeric Retry-After header asks for, capped at
+    RETRY_AFTER_MAX_S; None when the header is absent or not a number."""
+    try:
+        seconds = float(header)
+    except (TypeError, ValueError):
+        return None
+    return min(seconds, RETRY_AFTER_MAX_S) if seconds >= 0 else None
+
+
+OptionTable = list[list[tuple[str, float]]]
+
+
+def _option_table(entries: list) -> OptionTable:
+    """Each position's valid ``(text, logprob)`` options: the generated token,
+    then its ``top_logprobs`` in order. Position-0 texts are left-stripped and
+    empty texts dropped; an entry or alternative that is not an object offers
+    nothing.
+    """
+    table = []
+    for position, entry in enumerate(entries):
+        items = [entry] if isinstance(entry, dict) else []
+        alternatives = entry.get("top_logprobs") if items else None
+        if isinstance(alternatives, list):
+            items.extend(alternatives)
+        options = []
+        for item in items:
+            if not isinstance(item, dict):
+                continue
+            token, logprob = item.get("token"), item.get("logprob")
+            if not isinstance(token, str) or not isinstance(logprob, (int, float)):
+                continue
+            text = token.lstrip() if position == 0 else token
+            if text:
+                options.append((text, float(logprob)))
+        table.append(options)
+    return table
+
+
+def _align_logprob(candidate: str, table: OptionTable) -> float | None:
     """Length-normalized sum of token log-probabilities along the generated
-    token path that spells out ``candidate``, using top_logprobs alternatives
-    at each position. Returns None when the candidate cannot be realized.
+    token path that spells out ``candidate``, from one reply's option table.
+    At each position the option with the highest logprob that continues the
+    name wins (the first on a tie); it may overshoot the name's end (e.g.
+    trailing punctuation). Returns None when the candidate cannot be realized.
     """
     remaining = candidate
     total = 0.0
     used = 0
-    for entry in entries:
+    for options in table:
         if not remaining:
             break
-        options = [(entry.get("token"), entry.get("logprob"))]
-        for alt in entry.get("top_logprobs") or []:
-            options.append((alt.get("token"), alt.get("logprob")))
-        best: tuple[str, float] | None = None
-        for token, logprob in options:
-            if not isinstance(token, str) or not isinstance(logprob, (int, float)):
-                continue
-            text = token.lstrip() if used == 0 else token
-            if not text:
-                continue
-            consumed = None
+        best: float | None = None
+        cut = 0
+        for text, logprob in options:
             if remaining.startswith(text):
-                consumed = text
+                consumed = len(text)
             elif text.startswith(remaining):
-                # Token overshoots the name end (e.g. trailing punctuation).
-                consumed = remaining
-            if consumed is not None and (best is None or logprob > best[1]):
-                best = (consumed, float(logprob))
+                consumed = len(remaining)  # overshoots the name end
+            else:
+                continue
+            if best is None or logprob > best:
+                best, cut = logprob, consumed
         if best is None:
             return None
-        total += best[1]
+        total += best
         used += 1
-        remaining = remaining[len(best[0]):]
+        remaining = remaining[cut:]
     if remaining or used == 0:
         return None
     return total / used
