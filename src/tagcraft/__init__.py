@@ -45,7 +45,7 @@ from .model import (
     save_taxonomy,
     taxonomy_upsert,
 )
-from .prompts import TemplateId, render
+from .prompts import TemplateId, render, use_templates
 from .refine import (
     ConfusionPair,
     RefinementReport,
@@ -110,5 +110,6 @@ __all__ = [
     "sample_bootstrap",
     "save_taxonomy",
     "taxonomy_upsert",
+    "use_templates",
     "validate_category_set",
 ]

@@ -25,15 +25,11 @@ class ScoringPath(str, enum.Enum):
 @dataclass(frozen=True)
 class PromptRequest:
     user_text: str
-    system_text: str | None = None
-    temperature: float = 0.0
     max_output_tokens: int = 1024
 
     def __post_init__(self) -> None:
         if not self.user_text or not self.user_text.strip():
             raise ValueError("user_text must be non-empty")
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be positive")
 

@@ -73,6 +73,14 @@ class HttpBackend(Backend):
             raise ValueError(f"no base URL configured (set {ENV_BASE_URL})")
         if not self.model:
             raise ValueError(f"no model configured (set {ENV_MODEL})")
+        if max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        if timeout <= 0:
+            raise ValueError(f"timeout must be > 0, got {timeout}")
+        if backoff_base < 0:
+            raise ValueError(f"backoff_base must be >= 0, got {backoff_base}")
+        if top_logprobs < 0:
+            raise ValueError(f"top_logprobs must be >= 0, got {top_logprobs}")
         url = urllib.parse.urlsplit(self.base_url)
         # Credentials, a query or a fragment would be dropped from every request.
         extras = url.username is not None or url.query or url.fragment
@@ -108,14 +116,10 @@ class HttpBackend(Backend):
     # -- transport ----------------------------------------------------------
 
     def _payload(self, request: PromptRequest, want_logprobs: bool) -> dict:
-        messages = []
-        if request.system_text:
-            messages.append({"role": "system", "content": request.system_text})
-        messages.append({"role": "user", "content": request.user_text})
         payload = {
             "model": self.model,
-            "messages": messages,
-            "temperature": request.temperature,
+            "messages": [{"role": "user", "content": request.user_text}],
+            "temperature": 0.0,
             "max_tokens": request.max_output_tokens,
         }
         if want_logprobs:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence, Union
 
 from .backends.base import Backend, ScoreMap
@@ -43,28 +42,15 @@ def descriptor_block(taxonomy: Taxonomy) -> str:
     )
 
 
-def classify(
-    document: Document,
-    taxonomy: Taxonomy,
-    backend: Backend,
-    *,
-    templates_dir: str | Path | None = None,
-) -> ClassificationResult:
+def classify(document: Document, taxonomy: Taxonomy, backend: Backend) -> ClassificationResult:
     """Score every category for the document and return the argmax, with ties
     broken deterministically by taxonomy order.
     """
-    return _classify(
-        document, taxonomy.names(), descriptor_block(taxonomy), backend, templates_dir=templates_dir
-    )
+    return _classify(document, taxonomy.names(), descriptor_block(taxonomy), backend)
 
 
 def _classify(
-    document: Document,
-    names: Sequence[str],
-    block: str,
-    backend: Backend,
-    *,
-    templates_dir: str | Path | None,
+    document: Document, names: Sequence[str], block: str, backend: Backend
 ) -> ClassificationResult:
     """classify() against a taxonomy given as its names and descriptor block,
     so a batch builds both once.
@@ -73,11 +59,7 @@ def _classify(
         raise EmptyTaxonomyError("cannot classify against an empty taxonomy")
     if not document.text or not document.text.strip():
         raise ValueError(f"document {document.id!r} has empty text")
-    request = render(
-        TemplateId.CLASSIFY,
-        {"document": document.text, "descriptor_block": block},
-        templates_dir=templates_dir,
-    )
+    request = render(TemplateId.CLASSIFY, {"document": document.text, "descriptor_block": block})
     if len(request.user_text) > MAX_PROMPT_CHARS:
         raise PromptBudgetError(
             f"classification prompt is {len(request.user_text)} chars; "
@@ -109,11 +91,7 @@ def argmax(scores: dict[str, float], order: Sequence[str]) -> str:
 
 
 def classify_batch(
-    documents: Sequence[Document],
-    taxonomy: Taxonomy,
-    backend: Backend,
-    *,
-    templates_dir: str | Path | None = None,
+    documents: Sequence[Document], taxonomy: Taxonomy, backend: Backend
 ) -> list[BatchItem]:
     """Classify documents concurrently, up to the backend's max_concurrency,
     returning results in input order. Failures are isolated per document as
@@ -126,7 +104,7 @@ def classify_batch(
 
     def one(document: Document) -> BatchItem:
         try:
-            return _classify(document, names, block, backend, templates_dir=templates_dir)
+            return _classify(document, names, block, backend)
         except Exception as err:
             return ClassificationFailure(document.id, str(err), err)
 

@@ -20,7 +20,6 @@ from click.core import ParameterSource
 from . import experiment as xp
 from .backends import Backend, HttpBackend, MockBackend
 from .classify import classify as classify_document
-from .datasets import load_agnews, load_dbpedia, load_generic_csv
 from .describe import SamplePlan, bootstrap_taxonomy, contrast_taxonomy
 from .errors import TagcraftError
 from .fileio import write_text_atomic
@@ -32,11 +31,10 @@ from .model import (
     load_taxonomy,
     save_taxonomy,
 )
+from .prompts import use_templates
 from .refine import refine_loop
 from .runlog import RunLog
 from .topics import add_topic, revise_topic
-
-_FORMATS = {"csv": load_generic_csv, "agnews": load_agnews, "dbpedia": load_dbpedia}
 
 
 @dataclass
@@ -44,7 +42,6 @@ class CliState:
     backend_kind: str
     seed: int
     log_path: str | None
-    templates_dir: str | None
     json_errors: bool
 
     def make_backend(self) -> Backend:
@@ -128,11 +125,16 @@ def main(ctx, **params):
     for param in main.params:
         if param.name in flags and ctx.get_parameter_source(param.name) == ParameterSource.DEFAULT:
             params[param.name] = param.type_cast_value(ctx, flags[param.name])
+    # Set on every invocation, so one run's override never reaches the next.
+    use_templates(params.pop("templates_dir"))
     ctx.obj = CliState(**params)
 
 
+_FORMATS = sorted(kind.value for kind in xp.DATASET_LOADERS)
+
+
 def _load_docs(path: str, fmt: str) -> list[Document]:
-    return _FORMATS[fmt](path)
+    return xp.DATASET_LOADERS[xp.DatasetKind(fmt)](path)
 
 
 def _apply_label_map(docs: list[Document], map_path: str | None) -> list[Document]:
@@ -149,7 +151,7 @@ def _apply_label_map(docs: list[Document], map_path: str | None) -> list[Documen
 
 @main.command()
 @click.option("--dataset", "dataset_path", required=True, type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(sorted(_FORMATS)), default="csv", show_default=True)
+@click.option("--format", "fmt", type=click.Choice(_FORMATS), default="csv", show_default=True)
 @click.option("--labels", default=None, help="Comma-separated labels to bootstrap (default: all found).")
 @click.option("--n", "n_samples", type=int, default=20, show_default=True)
 @click.option("--strategy", type=click.Choice([s.value for s in SamplingStrategy]), default=SamplingStrategy.SEEDED_RANDOM.value, show_default=True)
@@ -170,9 +172,7 @@ def bootstrap(state: CliState, dataset_path, fmt, labels, n_samples, strategy, o
         label_list = seen
     plan = SamplePlan(SamplingStrategy(strategy), n_samples, state.seed)
     backend = state.make_backend()
-    taxonomy, mapping = bootstrap_taxonomy(
-        docs, label_list, plan, backend, templates_dir=state.templates_dir
-    )
+    taxonomy, mapping = bootstrap_taxonomy(docs, label_list, plan, backend)
     save_taxonomy(taxonomy, out_path)
     map_file = Path(map_path) if map_path else Path(out_path).with_suffix(".labels.json")
     write_text_atomic(map_file, json.dumps(mapping, indent=2, sort_keys=True) + "\n")
@@ -188,7 +188,7 @@ def contrast(state: CliState, taxonomy_path, out_path):
     """Rewrite all descriptions to emphasize between-category contrast."""
     taxonomy = load_taxonomy(taxonomy_path)
     backend = state.make_backend()
-    result = contrast_taxonomy(taxonomy, backend, templates_dir=state.templates_dir)
+    result = contrast_taxonomy(taxonomy, backend)
     save_taxonomy(result, out_path or taxonomy_path)
     click.echo(f"contrasted {len(result)} categories -> {out_path or taxonomy_path}")
 
@@ -196,7 +196,7 @@ def contrast(state: CliState, taxonomy_path, out_path):
 @main.command()
 @click.option("--taxonomy", "taxonomy_path", required=True, type=click.Path())
 @click.option("--validate", "validate_path", required=True, type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(sorted(_FORMATS)), default="csv", show_default=True)
+@click.option("--format", "fmt", type=click.Choice(_FORMATS), default="csv", show_default=True)
 @click.option("--label-map", "label_map", type=click.Path(), default=None)
 @click.option("--threshold", type=float, default=0.8, show_default=True)
 @click.option("--max-iters", type=int, default=4, show_default=True)
@@ -225,9 +225,7 @@ def refine(state: CliState, taxonomy_path, validate_path, fmt, label_map, thresh
     backend = state.make_backend()
     log = state.open_log()
     try:
-        result, report = refine_loop(
-            taxonomy, docs, config, backend, templates_dir=state.templates_dir, log=log
-        )
+        result, report = refine_loop(taxonomy, docs, config, backend, log=log)
     finally:
         if log:
             log.close()
@@ -255,9 +253,7 @@ def classify(state: CliState, taxonomy_path, text, file_path, verbose):
         text = Path(file_path).read_text(encoding="utf-8")
     taxonomy = load_taxonomy(taxonomy_path)
     backend = state.make_backend()
-    result = classify_document(
-        Document(id="cli", text=text or ""), taxonomy, backend, templates_dir=state.templates_dir
-    )
+    result = classify_document(Document(id="cli", text=text or ""), taxonomy, backend)
     click.echo(result.predicted)
     if verbose:
         click.echo(json.dumps(result.scores.scores, indent=2, sort_keys=True), err=True)
@@ -312,7 +308,6 @@ def add_topic_cmd(state: CliState, taxonomy_path, name, description, from_json, 
         backend,
         run_contrast=not no_contrast,
         sample_docs=_read_samples(samples_path),
-        templates_dir=state.templates_dir,
     )
     save_taxonomy(result, out_path or taxonomy_path)
     click.echo(f"added {descriptor.topic_name} ({len(result)} categories)")
@@ -340,7 +335,6 @@ def revise_topic_cmd(state: CliState, taxonomy_path, name, description, from_jso
         backend,
         run_contrast=with_contrast,
         sample_docs=_read_samples(samples_path),
-        templates_dir=state.templates_dir,
     )
     save_taxonomy(result, out_path or taxonomy_path)
     click.echo(f"revised {name}")
@@ -358,14 +352,7 @@ def run_cmd(state: CliState, plan_path, out_dir):
     backend = state.make_backend()
     log = state.open_log()
     try:
-        result = xp.run_experiment(
-            plan,
-            backend,
-            config,
-            templates_dir=state.templates_dir,
-            log=log,
-            checkpoint_dir=out_dir,
-        )
+        result = xp.run_experiment(plan, backend, config, log=log, checkpoint_dir=out_dir)
     finally:
         if log:
             log.close()

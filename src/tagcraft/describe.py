@@ -5,7 +5,6 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .backends.base import Backend
@@ -56,19 +55,12 @@ def sample_bootstrap(documents: Sequence[Document], plan: SamplePlan) -> list[Do
     return random.Random(plan.seed).sample(list(documents), k)
 
 
-def bootstrap_category(
-    samples: Sequence[Document],
-    backend: Backend,
-    *,
-    templates_dir: str | Path | None = None,
-) -> TopicDescriptor:
+def bootstrap_category(samples: Sequence[Document], backend: Backend) -> TopicDescriptor:
     """Generate one descriptor covering the sampled documents."""
     if not samples:
         raise NoDocumentsError("bootstrap requires at least one sample")
     request = render(
-        TemplateId.TAG_GENERATION,
-        {"document": format_sample_block(d.text for d in samples)},
-        templates_dir=templates_dir,
+        TemplateId.TAG_GENERATION, {"document": format_sample_block(d.text for d in samples)}
     )
     return request_descriptor(backend, request)
 
@@ -78,8 +70,6 @@ def bootstrap_taxonomy(
     labels: Sequence[str],
     plan: SamplePlan,
     backend: Backend,
-    *,
-    templates_dir: str | Path | None = None,
 ) -> tuple[Taxonomy, dict[str, str]]:
     """Bootstrap one category per label and return the taxonomy together with
     the label -> generated category name mapping.
@@ -98,7 +88,7 @@ def bootstrap_taxonomy(
             raise NoDocumentsError(f"no documents labeled {label!r}")
         samples.append(sample_bootstrap(docs, plan))
     descriptors = ordered_map(
-        lambda chosen: bootstrap_category(chosen, backend, templates_dir=templates_dir),
+        lambda chosen: bootstrap_category(chosen, backend),
         samples,
         backend.capabilities().max_concurrency,
     )
@@ -121,12 +111,7 @@ def bootstrap_taxonomy(
     return taxonomy, mapping
 
 
-def contrast_taxonomy(
-    taxonomy: Taxonomy,
-    backend: Backend,
-    *,
-    templates_dir: str | Path | None = None,
-) -> Taxonomy:
+def contrast_taxonomy(taxonomy: Taxonomy, backend: Backend) -> Taxonomy:
     """Rewrite every description so that each category states how it differs
     from the others. Category names, count, and order never change; replies
     naming unknown categories are ignored; categories missing from the reply
@@ -148,9 +133,7 @@ def contrast_taxonomy(
         batch = categories[start : start + CONTRAST_BATCH_SIZE]
         block = "\n\n".join(descriptor_to_json(c.descriptor) for c in batch)
         binding = f"All categories: {name_list}\n\n{block}"
-        requests.append(
-            render(TemplateId.CONTRAST, {"category": binding}, templates_dir=templates_dir)
-        )
+        requests.append(render(TemplateId.CONTRAST, {"category": binding}))
     replies = ordered_map(
         lambda request: request_descriptor_set(backend, request),
         requests,

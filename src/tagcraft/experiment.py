@@ -51,6 +51,14 @@ class DatasetKind(str, enum.Enum):
     GENERIC_CSV = "csv"
 
 
+# The reader for each dataset format; the CLI's --format choices are its keys.
+DATASET_LOADERS = {
+    DatasetKind.AGNEWS: load_agnews,
+    DatasetKind.DBPEDIA: load_dbpedia,
+    DatasetKind.GENERIC_CSV: load_generic_csv,
+}
+
+
 class EvalPhase(str, enum.Enum):
     SEEN_ONLY = "seen_only"
     AFTER_UNSEEN = "after_unseen"
@@ -131,11 +139,7 @@ def preset_plan(kind: DatasetKind | str, data_path: str, **overrides) -> Experim
 
 
 def load_dataset(plan: ExperimentPlan) -> list[Document]:
-    if plan.dataset is DatasetKind.AGNEWS:
-        return load_agnews(plan.data_path)
-    if plan.dataset is DatasetKind.DBPEDIA:
-        return load_dbpedia(plan.data_path)
-    return load_generic_csv(plan.data_path)
+    return DATASET_LOADERS[plan.dataset](plan.data_path)
 
 
 def load_plan(path: str | Path) -> tuple[ExperimentPlan, RefinementConfig]:
@@ -180,7 +184,6 @@ def run_experiment(
     backend: Backend,
     config: RefinementConfig,
     *,
-    templates_dir: str | Path | None = None,
     log: RunLog | None = None,
     checkpoint_dir: str | Path | None = None,
 ) -> ExperimentResult:
@@ -215,16 +218,10 @@ def run_experiment(
     )
     sample_plan = SamplePlan(config.sampling_strategy, plan.n_bootstrap, config.seed)
     train_docs = [doc for label in plan.seen_labels for doc in split.seen_train[label]]
-    taxonomy, label_names = bootstrap_taxonomy(
-        train_docs,
-        plan.seen_labels,
-        sample_plan,
-        backend,
-        templates_dir=templates_dir,
-    )
+    taxonomy, label_names = bootstrap_taxonomy(train_docs, plan.seen_labels, sample_plan, backend)
     checkpoint(taxonomy)
     if len(taxonomy) >= 2:
-        taxonomy = contrast_taxonomy(taxonomy, backend, templates_dir=templates_dir)
+        taxonomy = contrast_taxonomy(taxonomy, backend)
         checkpoint(taxonomy)
 
     validation = [
@@ -232,14 +229,7 @@ def run_experiment(
         for label in plan.seen_labels
         for doc in split.seen_validate[label]
     ]
-    taxonomy, refinement = refine_loop(
-        taxonomy,
-        validation,
-        config,
-        backend,
-        templates_dir=templates_dir,
-        log=log,
-    )
+    taxonomy, refinement = refine_loop(taxonomy, validation, config, backend, log=log)
     checkpoint(taxonomy)
 
     predictions: list[PredictionRecord] = []
@@ -249,7 +239,6 @@ def run_experiment(
         label_names,
         EvalPhase.SEEN_ONLY,
         backend,
-        templates_dir,
         predictions,
     )
 
@@ -261,7 +250,6 @@ def run_experiment(
             backend,
             run_contrast=True,
             sample_docs=list(split.unseen_bootstrap.get(label, ())),
-            templates_dir=templates_dir,
         )
         label_names[label] = rough.topic_name
         checkpoint(taxonomy)
@@ -275,7 +263,6 @@ def run_experiment(
         label_names,
         EvalPhase.AFTER_UNSEEN,
         backend,
-        templates_dir,
         predictions,
     )
 
@@ -309,14 +296,13 @@ def _evaluate(
     label_names: dict[str, str],
     phase: EvalPhase,
     backend: Backend,
-    templates_dir: str | Path | None,
     predictions: list[PredictionRecord],
 ) -> EvalReport:
     inverse = {name_key(name): label for label, name in label_names.items()}
     matrix = ConfusionMatrix()
     n_failed = 0
     documents = [doc for _, doc in labeled_docs]
-    results = classify_batch(documents, taxonomy, backend, templates_dir=templates_dir)
+    results = classify_batch(documents, taxonomy, backend)
     for (label, document), result in zip(labeled_docs, results):
         if isinstance(result, ClassificationFailure):
             n_failed += 1

@@ -3,7 +3,8 @@
 Templates ship as versioned text resources under ``tagcraft/templates`` and
 can be overridden per-template by dropping a file with the same name into a
 templates directory (``{placeholder}`` syntax, ``{{``/``}}`` for literal
-braces). Rendering is a pure function of (template, bindings).
+braces) chosen once per process with use_templates(). Rendering is a pure
+function of (template, bindings) under that setting.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class TemplateId(enum.Enum):
 
 
 # Generous completion budgets per stage; classification only needs to emit a
-# single category name. Prompts keep PromptRequest's temperature of 0.
+# single category name. Every prompt is sent at temperature 0.
 MAX_OUTPUT_TOKENS = {
     TemplateId.TAG_GENERATION: 512,
     TemplateId.CONTRAST: 2048,
@@ -43,10 +44,24 @@ MAX_OUTPUT_TOKENS = {
 }
 
 
+# The override directory set by use_templates(); None means the shipped ones.
+_templates_dir: Path | None = None
+
+
+def use_templates(directory: str | Path | None) -> None:
+    """Read templates from ``directory`` from now on, for the whole process;
+    a template with no file there keeps its shipped text. None restores the
+    shipped templates. Set it before a run, not while stages render.
+    """
+    global _templates_dir
+    _templates_dir = Path(directory) if directory else None
+    _template_text.cache_clear()
+
+
 @lru_cache(maxsize=None)
-def _template_text(template: TemplateId, templates_dir: str | None) -> str:
-    if templates_dir is not None:
-        override = Path(templates_dir) / f"{template.value}.txt"
+def _template_text(template: TemplateId) -> str:
+    if _templates_dir is not None:
+        override = _templates_dir / f"{template.value}.txt"
         if override.is_file():
             return override.read_text(encoding="utf-8")
     resource = files("tagcraft").joinpath("templates", f"{template.value}.txt")
@@ -58,17 +73,12 @@ class _Strict(dict):
         raise UnboundPlaceholderError(key)
 
 
-def render(
-    template: TemplateId,
-    bindings: Mapping[str, str],
-    *,
-    templates_dir: str | Path | None = None,
-) -> PromptRequest:
+def render(template: TemplateId, bindings: Mapping[str, str]) -> PromptRequest:
     """Substitute bindings into the template and wrap the result in a
     PromptRequest. Unused bindings are ignored; an unbound placeholder
     raises UnboundPlaceholderError.
     """
-    text = _template_text(template, str(templates_dir) if templates_dir else None)
+    text = _template_text(template)
     try:
         rendered = string.Formatter().vformat(text, (), _Strict(bindings))
     except IndexError as err:

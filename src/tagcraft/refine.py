@@ -13,8 +13,7 @@ import enum
 import logging
 import random
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .backends.base import Backend, PromptRequest
 from .classify import ClassificationFailure, classify_batch
@@ -94,8 +93,6 @@ def validate_category_set(
     taxonomy: Taxonomy,
     validation_docs: Sequence[Document],
     backend: Backend,
-    *,
-    templates_dir: str | Path | None = None,
 ) -> ValidationOutcome:
     """Classify every validation document against the taxonomy snapshot and
     aggregate the confusion matrix, per-category accuracies, and the
@@ -122,7 +119,7 @@ def validate_category_set(
     matrix = ConfusionMatrix()
     misclassified: dict[str, list[tuple[Document, str]]] = {}
     correct: dict[str, list[Document]] = {}
-    results = classify_batch(validation_docs, taxonomy, backend, templates_dir=templates_dir)
+    results = classify_batch(validation_docs, taxonomy, backend)
     for document, gold, result in zip(validation_docs, golds, results):
         if isinstance(result, ClassificationFailure):
             raise result.exception
@@ -145,7 +142,6 @@ def refine_description(
     wrong: Sequence[tuple[Document, str]],
     backend: Backend,
     *,
-    templates_dir: str | Path | None = None,
     log: RunLog | None = None,
     iteration: int = 0,
 ) -> TopicDescriptor:
@@ -155,26 +151,47 @@ def refine_description(
     """
     if not wrong:
         raise ValueError("refinement is triggered by errors; wrong samples are required")
+    return request_refinement(
+        category.name,
+        category.descriptor,
+        (d.text for d in right),
+        (d.text for d, _ in wrong),
+        backend,
+        log,
+        iteration=iteration,
+        category=category.name,
+    )
+
+
+def request_refinement(
+    name: str,
+    current: TopicDescriptor,
+    right: Iterable[str],
+    wrong: Iterable[str],
+    backend: Backend,
+    log: RunLog | None = None,
+    **fields,
+) -> TopicDescriptor:
+    """One misclassification-refine prompt for the category ``name``: its
+    current descriptor plus the sample texts it got right and wrong. A reply
+    that renames the category is overridden back to ``name``. With a log, one
+    "refine" event carries ``fields``.
+    """
     request = render(
         TemplateId.MISCLASS_REFINE,
         {
-            "df_subset_right": format_sample_block(d.text for d in right),
-            "df_subset_wrong": format_sample_block(d.text for d, _ in wrong),
-            "correct_category": category.name,
-            "category_list": descriptor_to_json(category.descriptor),
+            "df_subset_right": format_sample_block(right),
+            "df_subset_wrong": format_sample_block(wrong),
+            "correct_category": name,
+            "category_list": descriptor_to_json(current),
         },
-        templates_dir=templates_dir,
     )
-    descriptor = _logged_request(
-        backend, request, log, "refine", iteration=iteration, category=category.name
-    )
-    if name_key(descriptor.topic_name) != name_key(category.name):
+    descriptor = _logged_request(backend, request, log, "refine", **fields)
+    if name_key(descriptor.topic_name) != name_key(name):
         logger.info(
-            "refine reply renamed %r to %r; name overridden back",
-            category.name,
-            descriptor.topic_name,
+            "refine reply renamed %r to %r; name overridden back", name, descriptor.topic_name
         )
-    return replace(descriptor, topic_name=category.name)
+    return replace(descriptor, topic_name=name)
 
 
 def _logged_request(
@@ -215,7 +232,6 @@ def adapt_pair(
     backend: Backend,
     *,
     iteration: int = 0,
-    templates_dir: str | Path | None = None,
     log: RunLog | None = None,
 ) -> TopicDescriptor:
     """Return a sharpened description of ``pair.correct`` against
@@ -247,7 +263,6 @@ def adapt_pair(
             "correct_category": correct_category.name,
             "wrong_category": wrong_category.name,
         },
-        templates_dir=templates_dir,
     )
     descriptor = _logged_request(
         backend,
@@ -334,7 +349,6 @@ def refine_loop(
     config: RefinementConfig,
     backend: Backend,
     *,
-    templates_dir: str | Path | None = None,
     log: RunLog | None = None,
 ) -> tuple[Taxonomy, RefinementReport]:
     """Run up to max_iterations validate/refine rounds.
@@ -358,7 +372,7 @@ def refine_loop(
     try:
         for iteration in range(1, config.max_iterations + 1):
             docs = _validation_subset(validation_docs, config, iteration)
-            outcome = validate_category_set(current, docs, backend, templates_dir=templates_dir)
+            outcome = validate_category_set(current, docs, backend)
             accuracies = outcome.per_category_accuracy
             minimum = min(accuracies.values(), default=1.0)
             if log:
@@ -381,7 +395,6 @@ def refine_loop(
                     outcome.correct.get(category.name, []),
                     outcome.misclassified.get(category.name, []),
                     backend,
-                    templates_dir=templates_dir,
                     log=category_log,
                     iteration=iteration,
                 )
@@ -399,7 +412,6 @@ def refine_loop(
                     snapshot,
                     backend,
                     iteration=iteration,
-                    templates_dir=templates_dir,
                     log=pair_log,
                 )
 

@@ -318,6 +318,33 @@ def test_templates_flag_overrides_shipped_prompt(runner, corpus_csv, tmp_path) -
     assert result.output.strip() in mapping.values()
 
 
+def test_templates_flag_does_not_outlive_its_invocation(runner, corpus_csv, tmp_path) -> None:
+    override_dir = tmp_path / "templates"
+    override_dir.mkdir()
+    (override_dir / "tag_generation.txt").write_text("DESCRIBE:flag,override\n", encoding="utf-8")
+
+    def bootstrap_names(*flags: str) -> tuple[str, ...]:
+        out = tmp_path / "tax.json"
+        result = runner.invoke(
+            main,
+            [
+                *flags,
+                "bootstrap", "--dataset", str(corpus_csv), "--labels", "ClassA,ClassB",
+                "--n", "10", "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        return load_taxonomy(out).names()
+
+    assert bootstrap_names("--templates", str(override_dir)) == ("Flag_Override", "Flag_Override_2")
+    shipped = bootstrap_names()
+    assert not any(name.startswith("Flag_Override") for name in shipped)
+    config = tmp_path / "conf.txt"
+    config.write_text(f"templates = {override_dir}\n", encoding="utf-8")
+    assert bootstrap_names("--config", str(config)) == ("Flag_Override", "Flag_Override_2")
+    assert bootstrap_names() == shipped
+
+
 def test_run_log_records_refinement_events(runner, corpus_csv, tmp_path) -> None:
     out = _bootstrap(runner, corpus_csv, tmp_path)
     log_path = tmp_path / "events.jsonl"

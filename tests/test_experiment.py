@@ -5,7 +5,7 @@ import json
 import pytest
 
 from helpers import class_vocab, keyword_documents, write_generic_csv, write_plan
-from tagcraft import MockBackend, RefinementConfig
+from tagcraft import MockBackend, RefinementConfig, use_templates
 from tagcraft.errors import SchemaError
 from tagcraft.experiment import (
     DatasetKind,
@@ -64,6 +64,25 @@ def test_run_experiment_produces_both_phases(corpus_csv) -> None:
     assert set(result.label_names) == {"ClassA", "ClassB", "ClassC", "ClassD"}
     # reports live in the dataset's label space
     assert set(result.phase1.per_class_accuracy) == {"ClassA", "ClassB", "ClassC"}
+
+
+def test_use_templates_reaches_bootstrap_inside_run_experiment(corpus_csv, tmp_path) -> None:
+    def run() -> dict:
+        return result_to_dict(
+            run_experiment(_plan(corpus_csv), MockBackend(seed=2), RefinementConfig(seed=5))
+        )
+
+    shipped = run()
+    (tmp_path / "tag_generation.txt").write_text("DESCRIBE:deep,override\n", encoding="utf-8")
+    use_templates(tmp_path)
+    overridden = run()
+    assert [overridden["label_names"][label] for label in ("ClassA", "ClassB", "ClassC")] == [
+        "Deep_Override",
+        "Deep_Override_2",
+        "Deep_Override_3",
+    ]
+    use_templates(None)
+    assert run() == shipped
 
 
 def test_zero_unseen_classes_is_a_noop_second_phase(corpus_csv) -> None:

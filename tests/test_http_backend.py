@@ -62,7 +62,8 @@ def scripted_server():
         handler = type("Handler", (base,), {"responses": responses, "requests_seen": []})
         handlers.append(handler)
         server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        # A short poll interval keeps shutdown() from waiting out the 0.5 s default.
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
         thread.start()
         start.servers.append(server)
         handler.server = server
@@ -132,11 +133,10 @@ def test_server_error_is_retried_as_transport(scripted_server) -> None:
 def test_bearer_auth_and_payload_fields(scripted_server) -> None:
     base = scripted_server([(200, _completion("ok"))])
     backend = _backend(base)
-    backend.complete(PromptRequest(user_text="hello", system_text="sys", max_output_tokens=77))
+    backend.complete(PromptRequest(user_text="hello", max_output_tokens=77))
     seen = scripted_server.handlers[0].requests_seen[0]
     assert seen["model"] == "test-model"
-    assert seen["messages"][0] == {"role": "system", "content": "sys"}
-    assert seen["messages"][1] == {"role": "user", "content": "hello"}
+    assert seen["messages"] == [{"role": "user", "content": "hello"}]
     assert seen["max_tokens"] == 77
     assert seen["temperature"] == 0.0
 
@@ -231,6 +231,22 @@ def test_missing_configuration_rejected(monkeypatch) -> None:
     monkeypatch.delenv("LLM_MODEL", raising=False)
     with pytest.raises(ValueError):
         HttpBackend()
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"max_retries": -1},
+        {"timeout": 0},
+        {"timeout": -1.0},
+        {"backoff_base": -0.5},
+        {"top_logprobs": -1},
+    ],
+    ids=["negative-retries", "zero-timeout", "negative-timeout", "negative-backoff", "negative-top-logprobs"],
+)
+def test_bad_retry_settings_rejected_when_built(setting) -> None:
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        HttpBackend(base_url="http://127.0.0.1:9", model="m", **setting)
 
 
 @pytest.mark.parametrize(

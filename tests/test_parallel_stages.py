@@ -275,8 +275,16 @@ def test_revise_topic_contrast_follows_the_backend_cap(cap) -> None:
 def test_no_public_callable_takes_a_concurrency_cap() -> None:
     # The backend's capabilities().max_concurrency is the one concurrency
     # setting, and the stage knobs that only ever held one value are
-    # constants; none of them may come back as a parameter or config field.
-    removed = ("concurrency_cap", "max_prompt_chars", "batch_size", "char_budget", "adapt_after_loop")
+    # constants; the template override is set once per process with
+    # use_templates(). None of them may come back as a parameter or config field.
+    removed = (
+        "concurrency_cap",
+        "max_prompt_chars",
+        "batch_size",
+        "char_budget",
+        "adapt_after_loop",
+        "templates_dir",
+    )
     takers = [
         (name, knob)
         for name in tagcraft.__all__
@@ -285,11 +293,7 @@ def test_no_public_callable_takes_a_concurrency_cap() -> None:
         if knob in inspect.signature(getattr(tagcraft, name)).parameters
     ]
     assert takers == []
-    assert list(inspect.signature(tagcraft.render).parameters) == [
-        "template",
-        "bindings",
-        "templates_dir",
-    ]
+    assert list(inspect.signature(tagcraft.render).parameters) == ["template", "bindings"]
 
 
 # -- collisions -----------------------------------------------------------------------

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from tagcraft import PromptRequest, TemplateId, render
+from tagcraft import PromptRequest, TemplateId, render, use_templates
 from tagcraft.errors import UnboundPlaceholderError
 from tagcraft.prompts import format_sample_block
 
@@ -65,21 +65,25 @@ def test_extra_bindings_are_ignored() -> None:
 def test_template_override_directory(tmp_path) -> None:
     override = tmp_path / "classify.txt"
     override.write_text("CUSTOM {document} | {descriptor_block}", encoding="utf-8")
-    request = render(
-        TemplateId.CLASSIFY,
-        {"document": "doc", "descriptor_block": "- A: a"},
-        templates_dir=tmp_path,
-    )
+    use_templates(tmp_path)
+    request = render(TemplateId.CLASSIFY, {"document": "doc", "descriptor_block": "- A: a"})
     assert request.user_text.startswith("CUSTOM doc")
 
 
 def test_override_directory_missing_file_falls_back(tmp_path) -> None:
-    request = render(
-        TemplateId.CLASSIFY,
-        {"document": "doc", "descriptor_block": "- A: a"},
-        templates_dir=tmp_path,
-    )
+    use_templates(str(tmp_path))
+    request = render(TemplateId.CLASSIFY, {"document": "doc", "descriptor_block": "- A: a"})
     assert "Respond with exactly one category name" in request.user_text
+
+
+def test_use_templates_none_restores_shipped_text(tmp_path) -> None:
+    bindings = _FULL_BINDINGS[TemplateId.CLASSIFY]
+    shipped = render(TemplateId.CLASSIFY, bindings)
+    (tmp_path / "classify.txt").write_text("CUSTOM {document}", encoding="utf-8")
+    use_templates(tmp_path)
+    assert render(TemplateId.CLASSIFY, bindings) != shipped
+    use_templates(None)
+    assert render(TemplateId.CLASSIFY, bindings) == shipped
 
 
 def test_classify_budget_default_is_small() -> None:
