@@ -96,7 +96,7 @@ def _guarded(fn):
 @click.option("--config", "config_path", type=click.Path(), default=None, help="Key-value config file supplying flag defaults.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--log", "log_path", type=click.Path(), default=None, help="JSON-lines run log path.")
-@click.option("--templates", "templates_dir", type=click.Path(), default=None, help="Template override directory.")
+@click.option("--templates", "templates_dir", type=click.Path(exists=True, file_okay=False), default=None, help="Template override directory.")
 @click.option("--json-errors", is_flag=True, default=False, help="Emit machine-parseable JSON errors on stderr.")
 @click.pass_context
 def main(ctx, **params):

@@ -1,7 +1,7 @@
 """Bounded fan-out of independent calls with results kept in input order.
 
 Every stage that issues independent backend calls (classification, per-label
-bootstrap, contrast batches, the refine and adapt waves) runs them through
+bootstrap, contrast batches, the refine/adapt wave) runs them through
 ``ordered_map`` with the backend's ``capabilities().max_concurrency`` as the
 cap, so the backend alone bounds how many are in flight, and callers apply
 the results on their own thread in a fixed order.

@@ -217,13 +217,6 @@ class ConfusionMatrix:
     def gold_total(self, gold: str) -> int:
         return sum(n for (g, _), n in self.counts.items() if g == gold)
 
-    def category_accuracy(self, gold: str) -> float | None:
-        """counts[(c, c)] / row total, or None when the row is empty."""
-        row = self.gold_total(gold)
-        if row == 0:
-            return None
-        return self.count(gold, gold) / row
-
     def per_category_accuracy(self) -> dict[str, float]:
         golds = sorted({g for (g, _) in self.counts})
         return {g: self.count(g, g) / self.gold_total(g) for g in golds}

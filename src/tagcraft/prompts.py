@@ -51,10 +51,14 @@ _templates_dir: Path | None = None
 def use_templates(directory: str | Path | None) -> None:
     """Read templates from ``directory`` from now on, for the whole process;
     a template with no file there keeps its shipped text. None restores the
-    shipped templates. Set it before a run, not while stages render.
+    shipped templates. Set it before a run, not while stages render. A path
+    that is not a directory raises NotADirectoryError and changes nothing.
     """
     global _templates_dir
-    _templates_dir = Path(directory) if directory else None
+    path = Path(directory) if directory else None
+    if path is not None and not path.is_dir():
+        raise NotADirectoryError(f"template directory {str(path)!r} is not a directory")
+    _templates_dir = path
     _template_text.cache_clear()
 
 

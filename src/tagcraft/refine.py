@@ -1,10 +1,11 @@
 """The iterative validate/refine loop and confusion-pair class adaptation.
 
 Each iteration classifies the validation documents against the current
-taxonomy snapshot, refines every category whose accuracy fell below the
-threshold using its correctly- and mis-classified samples, then sharpens
-the most confused category pairs. The loop stops as soon as the minimum
-per-category accuracy reaches the threshold, or after max_iterations.
+taxonomy snapshot and mines the most confused category pairs. Each pair's
+correct category is sharpened against its confusion; every other category
+whose accuracy fell below the threshold is refined from its correctly- and
+mis-classified samples. The loop stops as soon as the minimum per-category
+accuracy reaches the threshold, or after max_iterations.
 """
 
 from __future__ import annotations
@@ -354,14 +355,14 @@ def refine_loop(
     """Run up to max_iterations validate/refine rounds.
 
     Per iteration: validate; stop with THRESHOLD_MET when the minimum
-    per-category accuracy reaches the threshold; otherwise refine every
-    below-threshold category, adapt the mined confusion pairs, and continue.
-    Exhausting the iteration budget stops with MAX_ITERATIONS. The refines of
-    one iteration run concurrently from the same snapshot, then the
-    adaptations do from the refined one; both are applied and logged in
-    taxonomy / pair order, one upsert per refined category or adapted pair.
-    An adaptation prompt reads only the pair's names and the validation
-    outcome, never a description, so the pairs do not depend on one another.
+    per-category accuracy reaches the threshold; otherwise mine the confusion
+    pairs, adapt each one, refine every below-threshold category that no pair
+    names as correct, and continue. A category a pair adapts is not refined
+    too: the adaptation would overwrite the refine. Exhausting the iteration
+    budget stops with MAX_ITERATIONS. The refines and adaptations of one
+    iteration run as one concurrent wave from the same snapshot and outcome,
+    none reading another's result; they are applied and logged refines first
+    in taxonomy order, then adaptations in pair order, one upsert each.
 
     On a stage failure the partial iteration records are attached to a
     RefinementAbortedError whose __cause__ is the original error.
@@ -382,45 +383,39 @@ def refine_loop(
             if minimum >= config.accuracy_threshold:
                 stop = StopReason.THRESHOLD_MET
                 break
-            below = [
-                category
-                for category in current.categories
-                if accuracies.get(category.name) is not None
-                and accuracies[category.name] < config.accuracy_threshold
-            ]
-
-            def refine(category: Category, category_log: RunLog | None) -> TopicDescriptor:
-                return refine_description(
-                    category,
-                    outcome.correct.get(category.name, []),
-                    outcome.misclassified.get(category.name, []),
-                    backend,
-                    log=category_log,
-                    iteration=iteration,
-                )
-
-            for category, descriptor in _wave(refine, below, backend, log):
-                current = taxonomy_upsert(current, descriptor, Stage.REFINE, iteration)
-                record.refined.append(category.name)
-
-            snapshot = current
-
-            def adapt(pair: ConfusionPair, pair_log: RunLog | None) -> TopicDescriptor:
-                return adapt_pair(
-                    pair,
-                    outcome,
-                    snapshot,
-                    backend,
-                    iteration=iteration,
-                    log=pair_log,
-                )
-
             pairs = mine_confusion_pairs(
                 outcome.matrix, config.min_confusion_count, config.top_k_pairs
             )
-            for pair, descriptor in _wave(adapt, pairs, backend, log):
-                current = taxonomy_upsert(current, descriptor, Stage.ADAPT, iteration)
-                record.adapted.append(pair)
+            adapted = {name_key(pair.correct) for pair in pairs}
+            refines = [
+                category
+                for category in current.categories
+                if accuracies.get(category.name, 1.0) < config.accuracy_threshold
+                and name_key(category.name) not in adapted
+            ]
+            snapshot = current
+
+            def run(item: Category | ConfusionPair, item_log: RunLog | None) -> TopicDescriptor:
+                if isinstance(item, ConfusionPair):
+                    return adapt_pair(
+                        item, outcome, snapshot, backend, iteration=iteration, log=item_log
+                    )
+                return refine_description(
+                    item,
+                    outcome.correct.get(item.name, []),
+                    outcome.misclassified.get(item.name, []),
+                    backend,
+                    log=item_log,
+                    iteration=iteration,
+                )
+
+            for item, descriptor in _wave(run, [*refines, *pairs], backend, log):
+                if isinstance(item, ConfusionPair):
+                    current = taxonomy_upsert(current, descriptor, Stage.ADAPT, iteration)
+                    record.adapted.append(item)
+                else:
+                    current = taxonomy_upsert(current, descriptor, Stage.REFINE, iteration)
+                    record.refined.append(item.name)
     except Exception as err:
         raise RefinementAbortedError(
             f"refinement aborted at iteration {len(records)}: {err}", records

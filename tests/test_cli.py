@@ -112,7 +112,7 @@ def test_refine_report_is_the_experiment_refinement_serializer(runner, corpus_cs
         [
             "refine", "--taxonomy", str(out), "--validate", str(bad_csv),
             "--label-map", str(tmp_path / "tax.labels.json"),
-            "--max-iters", "2", "--m", "10", "--min-confusion", "1",
+            "--max-iters", "2", "--m", "10", "--min-confusion", "1", "--top-k", "1",
             "--out", str(tmp_path / "refined.json"),
         ],
     )
@@ -120,7 +120,8 @@ def test_refine_report_is_the_experiment_refinement_serializer(runner, corpus_cs
 
     mapping = json.loads((tmp_path / "tax.labels.json").read_text(encoding="utf-8"))
     docs = [replace(d, gold_label=mapping[d.gold_label]) for d in load_generic_csv(bad_csv)]
-    config = RefinementConfig(m_validate=10, max_iterations=2, min_confusion_count=1)
+    # One mined pair adapts one of the two missed categories; the other is refined.
+    config = RefinementConfig(m_validate=10, max_iterations=2, min_confusion_count=1, top_k_pairs=1)
     _, report = refine_loop(load_taxonomy(out), docs, config, MockBackend(seed=0))
     assert any(record.refined and record.adapted for record in report.per_iteration)
     expected = json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
@@ -343,6 +344,22 @@ def test_templates_flag_does_not_outlive_its_invocation(runner, corpus_csv, tmp_
     config.write_text(f"templates = {override_dir}\n", encoding="utf-8")
     assert bootstrap_names("--config", str(config)) == ("Flag_Override", "Flag_Override_2")
     assert bootstrap_names() == shipped
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_missing_templates_directory_is_a_usage_error(runner, corpus_csv, tmp_path, source) -> None:
+    out = _bootstrap(runner, corpus_csv, tmp_path)
+    missing = tmp_path / "no-such-dir"
+    if source == "flag":
+        flags = ["--templates", str(missing)]
+    else:
+        config = tmp_path / "conf.txt"
+        config.write_text(f"templates = {missing}\n", encoding="utf-8")
+        flags = ["--config", str(config)]
+    result = runner.invoke(main, [*flags, "classify", "--taxonomy", str(out), "--text", "aqua"])
+    assert result.exit_code == 2, result.output
+    assert str(missing) in result.output
+    assert "Traceback" not in result.output
 
 
 def test_run_log_records_refinement_events(runner, corpus_csv, tmp_path) -> None:

@@ -1,4 +1,4 @@
-"""Stage fan-out: bootstrap, contrast and the refine / adapt waves overlap
+"""Stage fan-out: bootstrap, contrast and the refine/adapt wave overlap
 their completions up to the backend's max_concurrency, yet apply results,
 suffix names and log events in input order, so outputs match a run at a cap
 of 1.
@@ -236,17 +236,40 @@ def test_contrast_batches_overlap() -> None:
 
 
 def test_refine_and_adapt_waves_overlap() -> None:
-    # Both categories miss the threshold and confuse each other, so the
-    # refine wave and the adapt wave each hold exactly two completions.
-    backend = BarrierBackend(ScriptedAccuracyBackend([{"Alpha": 10, "Beta": 10}]))
-    taxonomy = make_taxonomy([("Alpha", "a"), ("Beta", "b")])
-    docs = scripted_docs(["Alpha", "Beta"], 20)
-    _, report = refine_loop(taxonomy, docs, _loop_config(), backend)
-    assert report.per_iteration[0].refined == ["Alpha", "Beta"]
-    assert [(p.correct, p.wrong) for p in report.per_iteration[0].adapted] == [
-        ("Alpha", "Beta"),
-        ("Beta", "Alpha"),
-    ]
+    # Alpha misses 10 times toward Beta, a mined pair, and Gamma misses once,
+    # so the iteration's one wave holds Gamma's refine and Alpha's adapt.
+    backend = BarrierBackend(ScriptedAccuracyBackend([{"Alpha": 10, "Beta": 20, "Gamma": 19}]))
+    taxonomy = make_taxonomy([("Alpha", "a"), ("Beta", "b"), ("Gamma", "c")])
+    docs = scripted_docs(["Alpha", "Beta", "Gamma"], 20)
+    _, report = refine_loop(taxonomy, docs, _loop_config(accuracy_threshold=0.99), backend)
+    assert report.per_iteration[0].refined == ["Gamma"]
+    assert [(p.correct, p.wrong) for p in report.per_iteration[0].adapted] == [("Alpha", "Beta")]
+
+
+def test_each_iteration_sends_one_wave_of_refines_and_adapts(monkeypatch) -> None:
+    # Per iteration Alpha (a mined pair's correct side) and Gamma (one miss,
+    # under min_confusion_count) are below the threshold: one adapt plus one
+    # refine, never a refine of Alpha.
+    waves = []
+
+    def counting_map(fn, items, max_workers):
+        waves.append(len(items))
+        return ordered_map(fn, items, max_workers)
+
+    monkeypatch.setattr(tagcraft.refine, "ordered_map", counting_map)
+    backend = ScriptedAccuracyBackend([{"Alpha": 10, "Beta": 20, "Gamma": 19}])
+    taxonomy = make_taxonomy([("Alpha", "a"), ("Beta", "b"), ("Gamma", "c")])
+    docs = scripted_docs(["Alpha", "Beta", "Gamma"], 20)
+    config = _loop_config(accuracy_threshold=0.99, max_iterations=3)
+    _, report = refine_loop(taxonomy, docs, config, backend)
+    expected = []
+    for record in report.per_iteration:
+        below = {name for name, value in record.accuracy.items() if value < config.accuracy_threshold}
+        adapted = {pair.correct for pair in record.adapted}
+        assert adapted and below - adapted  # the iteration exercises both kinds
+        expected.append(len(below - adapted) + len(record.adapted))
+    assert waves == expected == [2, 2, 2]
+    assert backend.complete_calls == sum(expected)
 
 
 # -- cap ------------------------------------------------------------------------------
@@ -254,9 +277,8 @@ def test_refine_and_adapt_waves_overlap() -> None:
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
 def test_calls_in_flight_never_exceed_the_cap(tmp_path, cap) -> None:
-    path = write_generic_csv(paired_documents(3, 24), tmp_path / "corpus.csv")
     backend = InFlightBackend(CappedBackend(MockBackend(), cap))
-    run_experiment(_paired_plan(path), backend, _paired_config())
+    run_experiment(_paired_plan(tmp_path), backend, _paired_config())
     assert backend.peak <= cap
     if cap > 1:
         assert backend.peak > 1  # the cap was reached for, not just respected
@@ -335,12 +357,14 @@ def test_refine_failure_mid_wave_applies_and_logs_only_what_precedes_it() -> Non
             return super().complete(request)
 
     # Every category misses the threshold; Beta sits between Alpha and Gamma.
+    # No pair is mined, so all three are refined in one wave.
     backend = FailsOnBeta([{"Alpha": 10, "Beta": 10, "Gamma": 10}])
     taxonomy = make_taxonomy([("Alpha", "a"), ("Beta", "b"), ("Gamma", "c")])
     docs = scripted_docs(["Alpha", "Beta", "Gamma"], 20)
     buffer = io.StringIO()
+    config = _loop_config(min_confusion_count=21)
     with pytest.raises(RefinementAbortedError) as exc:
-        refine_loop(taxonomy, docs, _loop_config(), backend, log=RunLog(buffer))
+        refine_loop(taxonomy, docs, config, backend, log=RunLog(buffer))
     assert exc.value.iterations[0].refined == ["Alpha"]
     assert exc.value.iterations[0].adapted == []
     assert isinstance(exc.value.__cause__, RuntimeError)
@@ -356,8 +380,11 @@ def test_refine_failure_mid_wave_applies_and_logs_only_what_precedes_it() -> Non
 # -- byte identity with a serial run ----------------------------------------------------
 
 
-def _paired_plan(path) -> ExperimentPlan:
-    labels = [f"Pair{p}{side}" for p in range(3) for side in "XY"]
+def _paired_plan(tmp_path) -> ExperimentPlan:
+    # Four confusable pairs: with _paired_config the first iteration's wave
+    # holds 2 refines and 3 adapts.
+    path = write_generic_csv(paired_documents(4, 24), tmp_path / "corpus.csv")
+    labels = [f"Pair{p}{side}" for p in range(4) for side in "XY"]
     return ExperimentPlan(
         dataset=DatasetKind.GENERIC_CSV,
         data_path=str(path),
@@ -374,7 +401,6 @@ def _paired_config() -> RefinementConfig:
 
 
 def test_refine_loop_upserts_each_refined_and_adapted_category_once(tmp_path, monkeypatch) -> None:
-    path = write_generic_csv(paired_documents(3, 24), tmp_path / "corpus.csv")
     upserts = []
 
     def counting_upsert(*args, **kwargs):
@@ -382,23 +408,43 @@ def test_refine_loop_upserts_each_refined_and_adapted_category_once(tmp_path, mo
         return taxonomy_upsert(*args, **kwargs)
 
     monkeypatch.setattr(tagcraft.refine, "taxonomy_upsert", counting_upsert)
-    result = run_experiment(_paired_plan(path), MockBackend(), _paired_config())
+    result = run_experiment(_paired_plan(tmp_path), MockBackend(), _paired_config())
     records = result.refinement.per_iteration
     refined = sum(len(record.refined) for record in records)
     adapted = sum(len(record.adapted) for record in records)
-    assert refined >= 2 and adapted >= 2  # both waves ran, or the count shows nothing
+    assert refined >= 2 and adapted >= 2  # both kinds ran, or the count shows nothing
     assert upserts.count(Stage.REFINE) == refined
     assert upserts.count(Stage.ADAPT) == adapted
     assert len(upserts) == refined + adapted
 
 
+def test_refine_loop_calls_its_stages_through_module_attributes(tmp_path, monkeypatch) -> None:
+    # bench/spans.py times the refine and adapt stages by replacing these
+    # module attributes; a call through a name bound at import time would
+    # bypass the replacement and the stage would silently read zero.
+    calls = {"refine_description": 0, "adapt_pair": 0}
+    for name in calls:
+        original = getattr(tagcraft.refine, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(tagcraft.refine, name, counting)
+    result = run_experiment(_paired_plan(tmp_path), MockBackend(), _paired_config())
+    records = result.refinement.per_iteration
+    refined = sum(len(record.refined) for record in records)
+    adapted = sum(len(record.adapted) for record in records)
+    assert refined >= 1 and adapted >= 1
+    assert calls == {"refine_description": refined, "adapt_pair": adapted}
+
+
 def test_experiment_outputs_are_byte_identical_to_a_serial_run(tmp_path) -> None:
-    path = write_generic_csv(paired_documents(3, 24), tmp_path / "corpus.csv")
     outputs = {}
     for cap in (1, 4):
         log_buffer = io.StringIO()
         result = run_experiment(
-            _paired_plan(path),
+            _paired_plan(tmp_path),
             CappedBackend(MockBackend(), cap),
             _paired_config(),
             log=RunLog(log_buffer),

@@ -76,6 +76,13 @@ def test_override_directory_missing_file_falls_back(tmp_path) -> None:
     assert "Respond with exactly one category name" in request.user_text
 
 
+@pytest.mark.parametrize("name", ["missing", "classify.txt"])
+def test_use_templates_rejects_a_path_that_is_not_a_directory(tmp_path, name) -> None:
+    (tmp_path / "classify.txt").write_text("CUSTOM {document}", encoding="utf-8")
+    with pytest.raises(NotADirectoryError):
+        use_templates(tmp_path / name)
+
+
 def test_use_templates_none_restores_shipped_text(tmp_path) -> None:
     bindings = _FULL_BINDINGS[TemplateId.CLASSIFY]
     shipped = render(TemplateId.CLASSIFY, bindings)

@@ -248,6 +248,11 @@ def test_adapt_missing_samples_raises(mock_backend) -> None:
 # -- refine_loop ----------------------------------------------------------------------
 
 
+# More misses than a category has, so no confusion pair is mined and every
+# below-threshold category is refined rather than adapted.
+NO_PAIRS = {"min_confusion_count": 21}
+
+
 def _loop_config(**kwargs) -> RefinementConfig:
     defaults = dict(
         m_validate=20,
@@ -267,7 +272,7 @@ def test_loop_two_validations_one_refinement_round() -> None:
     backend = ScriptedAccuracyBackend([{"Alpha": 14, "Beta": 20}, {"Alpha": 17, "Beta": 20}])
     taxonomy = make_taxonomy([("Alpha", "a"), ("Beta", "b")])
     docs = scripted_docs(["Alpha", "Beta"], 20)
-    result, report = refine_loop(taxonomy, docs, _loop_config(), backend)
+    result, report = refine_loop(taxonomy, docs, _loop_config(**NO_PAIRS), backend)
     assert report.stop_reason is StopReason.THRESHOLD_MET
     assert report.iterations_run == 2
     assert report.per_iteration[0].accuracy == {"Alpha": 0.70, "Beta": 1.0}
@@ -280,7 +285,7 @@ def test_loop_pinned_below_threshold_runs_all_four_rounds() -> None:
     backend = ScriptedAccuracyBackend([{"Alpha": 10, "Beta": 20}])  # 0.50 forever
     taxonomy = make_taxonomy([("Alpha", "a"), ("Beta", "b")])
     docs = scripted_docs(["Alpha", "Beta"], 20)
-    result, report = refine_loop(taxonomy, docs, _loop_config(), backend)
+    result, report = refine_loop(taxonomy, docs, _loop_config(**NO_PAIRS), backend)
     assert report.stop_reason is StopReason.MAX_ITERATIONS
     assert report.iterations_run == 4
     assert all(record.refined == ["Alpha"] for record in report.per_iteration)
@@ -303,7 +308,7 @@ def test_loop_only_failing_categories_get_refine_entries() -> None:
     backend = ScriptedAccuracyBackend([{"Alpha": 10, "Beta": 20}, {"Alpha": 20, "Beta": 20}])
     taxonomy = make_taxonomy([("Alpha", "a"), ("Beta", "b")])
     docs = scripted_docs(["Alpha", "Beta"], 20)
-    result, report = refine_loop(taxonomy, docs, _loop_config(), backend)
+    result, report = refine_loop(taxonomy, docs, _loop_config(**NO_PAIRS), backend)
     alpha, beta = result.categories
     assert any(entry.stage is Stage.REFINE for entry in alpha.history)
     assert not any(entry.stage is Stage.REFINE for entry in beta.history)
@@ -317,7 +322,35 @@ def test_loop_mines_and_adapts_confused_pairs() -> None:
     result, report = refine_loop(taxonomy, docs, _loop_config(), backend)
     assert report.per_iteration[0].adapted == [ConfusionPair("Alpha", "Beta", 10)]
     alpha = result.categories[0]
-    assert [entry.stage for entry in alpha.history] == [Stage.BOOTSTRAP, Stage.REFINE, Stage.ADAPT]
+    # The adapt replaces Alpha's refine, so Alpha is not refined as well.
+    assert [entry.stage for entry in alpha.history] == [Stage.BOOTSTRAP, Stage.ADAPT]
+
+
+def test_loop_does_not_refine_a_category_its_pair_adapts() -> None:
+    # Alpha misses 10 times toward Beta, a mined pair; Gamma misses once
+    # (toward Alpha), below the 0.99 threshold but under min_confusion_count.
+    backend = ScriptedAccuracyBackend(
+        [{"Alpha": 10, "Beta": 20, "Gamma": 19}, {"Alpha": 20, "Beta": 20, "Gamma": 20}]
+    )
+    taxonomy = make_taxonomy([("Alpha", "a"), ("Beta", "b"), ("Gamma", "c")])
+    docs = scripted_docs(["Alpha", "Beta", "Gamma"], 20)
+    buffer = io.StringIO()
+    result, report = refine_loop(
+        taxonomy, docs, _loop_config(accuracy_threshold=0.99), backend, log=RunLog(buffer)
+    )
+    first = report.per_iteration[0]
+    assert first.adapted == [ConfusionPair("Alpha", "Beta", 10)]
+    assert first.refined == ["Gamma"]
+    alpha, _, gamma = result.categories
+    assert [entry.stage for entry in alpha.history] == [Stage.BOOTSTRAP, Stage.ADAPT]
+    assert [entry.stage for entry in gamma.history] == [Stage.BOOTSTRAP, Stage.REFINE]
+    events = [json.loads(line) for line in buffer.getvalue().splitlines()]
+    assert [(event["stage"], event.get("category")) for event in events] == [
+        ("validate", None),
+        ("refine", "Gamma"),
+        ("adapt", "Alpha"),
+        ("validate", None),
+    ]
 
 
 def test_loop_aborts_with_partial_report() -> None:
@@ -336,16 +369,21 @@ def test_loop_aborts_with_partial_report() -> None:
 
 
 def test_loop_emits_run_log_events() -> None:
-    backend = ScriptedAccuracyBackend([{"Alpha": 10, "Beta": 20}, {"Alpha": 20, "Beta": 20}])
-    taxonomy = make_taxonomy([("Alpha", "a"), ("Beta", "b")])
-    docs = scripted_docs(["Alpha", "Beta"], 20)
+    # Alpha is adapted against Beta; Gamma's single miss is refined.
+    backend = ScriptedAccuracyBackend(
+        [{"Alpha": 10, "Beta": 20, "Gamma": 19}, {"Alpha": 20, "Beta": 20, "Gamma": 20}]
+    )
+    taxonomy = make_taxonomy([("Alpha", "a"), ("Beta", "b"), ("Gamma", "c")])
+    docs = scripted_docs(["Alpha", "Beta", "Gamma"], 20)
     buffer = io.StringIO()
-    refine_loop(taxonomy, docs, _loop_config(), backend, log=RunLog(buffer))
+    refine_loop(
+        taxonomy, docs, _loop_config(accuracy_threshold=0.99), backend, log=RunLog(buffer)
+    )
     events = [json.loads(line) for line in buffer.getvalue().splitlines()]
     stages = [event["stage"] for event in events]
     assert stages == ["validate", "refine", "adapt", "validate"]
     refine_event = events[1]
-    assert refine_event["category"] == "Alpha"
+    assert refine_event["category"] == "Gamma"
     assert len(refine_event["prompt_sha256"]) == 64
     assert refine_event["ok"] is True
     assert events[0]["accuracy"] == 0.5
