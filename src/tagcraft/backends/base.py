@@ -54,7 +54,6 @@ class BackendCapabilities:
     so it is the only concurrency setting.
     """
 
-    supports_label_scoring: bool
     model_id: str
     max_concurrency: int = 4
 

@@ -97,9 +97,7 @@ class HttpBackend(Backend):
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.top_logprobs = top_logprobs
-        self._capabilities = BackendCapabilities(
-            supports_label_scoring=True, model_id=self.model, max_concurrency=max_concurrency
-        )
+        self._capabilities = BackendCapabilities(model_id=self.model, max_concurrency=max_concurrency)
         self._idle: list[http.client.HTTPConnection] = []
         self._idle_lock = threading.Lock()
 

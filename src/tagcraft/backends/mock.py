@@ -14,14 +14,12 @@ Label scoring
     denominator counts description tokens with repetition.
 
 Completions
-    Directive markers embedded anywhere in the prompt take priority:
+    A directive marker embedded anywhere in the prompt takes priority:
 
     ``DESCRIBE:kw1,kw2,...``
         returns ``{"topic_name": "Kw1_Kw2", "topic_description": "Covers kw1, kw2, ..."}``
         (name built from the first two keywords, capitalized and joined
         with underscores).
-    ``ECHO:<text>``
-        returns the rest of the line verbatim.
 
     Otherwise the prompt is matched against the shipped stage templates and
     a descriptor (or descriptor set) is synthesized from the dominant
@@ -74,14 +72,12 @@ _STOPWORDS = frozenset(
 )
 
 _DESCRIBE = re.compile(r"DESCRIBE:(\S+)")
-_ECHO = re.compile(r"ECHO:([^\n]*)")
 
 # Distinctive lines of the shipped stage templates.
 _MARKER_TAG = "Respond only with the JSON output for the given Description."
 _MARKER_CONTRAST = "emphasize the contrast between all categories"
 _MARKER_REFINE = "refine a category tag based on correctly classified and misclassified"
 _MARKER_ADAPT = "Strengthen the distinction between"
-_MARKER_CLASSIFY = "Respond with exactly one category name"
 
 _DOCUMENT_SECTION = re.compile(r"Document:\n(.*?)\n\s*Categories:", re.DOTALL)
 _CANDIDATE_LINE = re.compile(r"^- (.+?): (.+)$", re.MULTILINE)
@@ -110,7 +106,7 @@ class MockBackend(Backend):
         self.seed = seed
 
     def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(supports_label_scoring=True, model_id=f"mock-{self.seed}")
+        return BackendCapabilities(model_id=f"mock-{self.seed}")
 
     # -- scoring ----------------------------------------------------------
 
@@ -141,9 +137,6 @@ class MockBackend(Backend):
         if directive:
             keywords = [k.strip() for k in directive.group(1).split(",") if k.strip()]
             return self._descriptor_json(self._name_from(keywords), keywords)
-        echo = _ECHO.search(text)
-        if echo:
-            return echo.group(1).strip()
         if _MARKER_TAG in text:
             return self._complete_tag(text)
         if _MARKER_CONTRAST in text:
@@ -152,9 +145,6 @@ class MockBackend(Backend):
             return self._complete_refine(text)
         if _MARKER_ADAPT in text:
             return self._complete_adapt(text)
-        if _MARKER_CLASSIFY in text:
-            line = _CANDIDATE_LINE.search(text)
-            return line.group(1) if line else "Unknown"
         keywords = self._keywords(text, limit=8)
         return self._descriptor_json(self._name_from(keywords), keywords)
 

@@ -198,18 +198,17 @@ def contrast(state: CliState, taxonomy_path, out_path):
 @click.option("--validate", "validate_path", required=True, type=click.Path())
 @click.option("--format", "fmt", type=click.Choice(_FORMATS), default="csv", show_default=True)
 @click.option("--label-map", "label_map", type=click.Path(), default=None)
-@click.option("--threshold", type=float, default=0.8, show_default=True)
-@click.option("--max-iters", type=int, default=4, show_default=True)
-@click.option("--m", "m_validate", type=int, default=25, show_default=True)
-@click.option("--min-confusion", type=int, default=2, show_default=True)
-@click.option("--top-k", type=int, default=3, show_default=True)
-@click.option("--resample", is_flag=True, default=False, help="Fresh validation sample each iteration.")
+@click.option("--threshold", type=float, default=RefinementConfig.accuracy_threshold, show_default=True)
+@click.option("--max-iters", type=int, default=RefinementConfig.max_iterations, show_default=True)
+@click.option("--m", "m_validate", type=int, default=RefinementConfig.m_validate, show_default=True)
+@click.option("--min-confusion", type=int, default=RefinementConfig.min_confusion_count, show_default=True)
+@click.option("--top-k", type=int, default=RefinementConfig.top_k_pairs, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--report", "report_path", type=click.Path(), default=None)
 @click.pass_obj
 @_guarded
 def refine(state: CliState, taxonomy_path, validate_path, fmt, label_map, threshold, max_iters,
-           m_validate, min_confusion, top_k, resample, out_path, report_path):
+           m_validate, min_confusion, top_k, out_path, report_path):
     """Run the iterative validate/refine loop against labeled documents."""
     taxonomy = load_taxonomy(taxonomy_path)
     docs = _apply_label_map(_load_docs(validate_path, fmt), label_map)
@@ -220,7 +219,6 @@ def refine(state: CliState, taxonomy_path, validate_path, fmt, label_map, thresh
         seed=state.seed,
         min_confusion_count=min_confusion,
         top_k_pairs=top_k,
-        resample_validation=resample,
     )
     backend = state.make_backend()
     log = state.open_log()

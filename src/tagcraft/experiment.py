@@ -157,15 +157,13 @@ def load_plan(path: str | Path) -> tuple[ExperimentPlan, RefinementConfig]:
         unknown = set(data) - {f.name for f in fields(ExperimentPlan)} - {"refinement"}
         if unknown:
             raise ValueError(f"unknown keys {', '.join(sorted(unknown))}")
+        counts = ("n_bootstrap", "m_validate", "test_per_class", "seed")
         plan = ExperimentPlan(
             dataset=DatasetKind(data["dataset"]),
             data_path=data["data_path"],
             seen_labels=tuple(data["seen_labels"]),
             unseen_labels=tuple(data.get("unseen_labels", ())),
-            n_bootstrap=int(data.get("n_bootstrap", 20)),
-            m_validate=int(data.get("m_validate", 25)),
-            test_per_class=int(data.get("test_per_class", 100)),
-            seed=int(data.get("seed", 0)),
+            **{key: int(data[key]) for key in counts if key in data},
         )
         refinement = dict(data.get("refinement", {}))
         refinement.setdefault("n_bootstrap", plan.n_bootstrap)

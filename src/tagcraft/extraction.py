@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import replace
+from itertools import chain
 from typing import Iterator, Mapping
 
 from .backends.base import Backend, PromptRequest
@@ -25,18 +26,24 @@ MAX_REPAIR_RETRIES = 2
 
 
 # Per opener, the only characters that can change a span scan's state; the
-# scans jump from one to the next instead of visiting every character.
+# scans jump from one to the next instead of visiting every character. The
+# quote-blind table never stops on a quote or a backslash, so its scan never
+# enters a string literal: it rescues replies with stray quotes.
 _STRING_AWARE_STOPS = {"{": re.compile(r'[{}"\\]'), "[": re.compile(r'[\[\]"\\]')}
-_BRACE_ONLY_STOPS = {"{": re.compile(r"[{}]"), "[": re.compile(r"[\[\]]")}
+_QUOTE_BLIND_STOPS = {"{": re.compile(r"[{}]"), "[": re.compile(r"[\[\]]")}
 
 
-def _string_aware_spans(text: str, opener: str, closer: str) -> Iterator[tuple[int, int]]:
-    """Yield top-level balanced spans, tracking JSON string literals."""
+def _spans(
+    text: str, opener: str, closer: str, stops: Mapping[str, re.Pattern[str]]
+) -> Iterator[tuple[int, int]]:
+    """Yield top-level balanced spans, tracking JSON string literals when
+    ``stops[opener]`` matches quotes and backslashes.
+    """
     depth = 0
     start = -1
     in_string = False
     escaped_at = -1  # index of the character consumed by an escape
-    for match in _STRING_AWARE_STOPS[opener].finditer(text):
+    for match in stops[opener].finditer(text):
         i = match.start()
         ch = text[i]
         if in_string:
@@ -59,39 +66,23 @@ def _string_aware_spans(text: str, opener: str, closer: str) -> Iterator[tuple[i
                 yield (start, i + 1)
 
 
-def _brace_only_spans(text: str, opener: str, closer: str) -> Iterator[tuple[int, int]]:
-    """Same scan ignoring string literals; rescues inputs with stray quotes."""
-    depth = 0
-    start = -1
-    for match in _BRACE_ONLY_STOPS[opener].finditer(text):
-        i = match.start()
-        ch = text[i]
-        if ch == opener:
-            if depth == 0:
-                start = i
-            depth += 1
-        elif ch == closer and depth > 0:
-            depth -= 1
-            if depth == 0:
-                yield (start, i + 1)
-
-
 def _candidate_texts(text: str) -> Iterator[str]:
-    """Yield JSON candidate snippets in order of appearance."""
-    stripped = text.strip()
-    if stripped:
-        yield stripped
-    for match in _FENCE.finditer(text):
-        inner = match.group(1).strip()
-        if inner:
-            yield inner
-    seen: set[tuple[int, int]] = set()
-    for scanner in (_string_aware_spans, _brace_only_spans):
-        for opener, closer in (("{", "}"), ("[", "]")):
-            for span in scanner(text, opener, closer):
-                if span not in seen:
-                    seen.add(span)
-                    yield text[span[0]:span[1]]
+    """Yield each distinct JSON candidate snippet once, in this order: the
+    whole text, each fenced block, the string-aware spans, then the
+    quote-blind spans.
+    """
+    fenced = (match.group(1).strip() for match in _FENCE.finditer(text))
+    spans = (
+        text[start:end]
+        for stops in (_STRING_AWARE_STOPS, _QUOTE_BLIND_STOPS)
+        for opener, closer in (("{", "}"), ("[", "]"))
+        for start, end in _spans(text, opener, closer, stops)
+    )
+    seen: set[str] = set()
+    for snippet in chain((text.strip(),), fenced, spans):
+        if snippet and snippet not in seen:
+            seen.add(snippet)
+            yield snippet
 
 
 def _parsed_values(text: str) -> Iterator[object]:

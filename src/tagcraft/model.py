@@ -240,8 +240,6 @@ class RefinementConfig:
     sampling_strategy: SamplingStrategy = SamplingStrategy.SEEDED_RANDOM
     min_confusion_count: int = 2
     top_k_pairs: int = 3
-    # Fresh validation sample per iteration instead of re-using one subset.
-    resample_validation: bool = False
 
     def __post_init__(self) -> None:
         if self.n_bootstrap < 1 or self.m_validate < 1:

@@ -1,11 +1,11 @@
 """The iterative validate/refine loop and confusion-pair class adaptation.
 
-Each iteration classifies the validation documents against the current
-taxonomy snapshot and mines the most confused category pairs. Each pair's
-correct category is sharpened against its confusion; every other category
-whose accuracy fell below the threshold is refined from its correctly- and
-mis-classified samples. The loop stops as soon as the minimum per-category
-accuracy reaches the threshold, or after max_iterations.
+Each iteration classifies the same validation subset, drawn once per run,
+against the current taxonomy snapshot and mines the most confused category
+pairs. Each pair's correct category is sharpened against its confusion; every
+other category whose accuracy fell below the threshold is refined from its
+correctly- and mis-classified samples. The loop stops as soon as the minimum
+per-category accuracy reaches the threshold, or after max_iterations.
 """
 
 from __future__ import annotations
@@ -309,39 +309,24 @@ def _wave(
 
 
 def _validation_subset(
-    validation_docs: Sequence[Document], config: RefinementConfig, iteration: int
+    validation_docs: Sequence[Document], config: RefinementConfig
 ) -> list[Document]:
-    """Pick m_validate documents per gold label. By default the same subset
-    is re-used every iteration; with resample_validation a fresh seeded draw
-    is taken per iteration.
+    """Pick m_validate documents per gold label, labels in order of first
+    appearance: the first ones under FIRST_N, otherwise a draw seeded by the
+    config seed and the label.
     """
     grouped: dict[str, list[Document]] = {}
-    order: list[str] = []
     for document in validation_docs:
-        label = document.gold_label or ""
-        if label not in grouped:
-            grouped[label] = []
-            order.append(label)
-        grouped[label].append(document)
-    draw = iteration if config.resample_validation else 0
+        grouped.setdefault(document.gold_label or "", []).append(document)
     subset: list[Document] = []
-    for label in order:
-        pool = grouped[label]
+    for label, pool in grouped.items():
         k = min(config.m_validate, len(pool))
         if config.sampling_strategy is SamplingStrategy.FIRST_N:
-            chosen = pool[:k] if not config.resample_validation else _rotate(pool, draw)[:k]
+            subset.extend(pool[:k])
         else:
-            rng = random.Random(f"{config.seed}:{label}:{draw}")
-            chosen = rng.sample(pool, k)
-        subset.extend(chosen)
+            # The ":0" suffix is part of the seed: dropping it changes every subset and prompt.
+            subset.extend(random.Random(f"{config.seed}:{label}:0").sample(pool, k))
     return subset
-
-
-def _rotate(pool: list[Document], offset: int) -> list[Document]:
-    if not pool:
-        return pool
-    shift = offset % len(pool)
-    return pool[shift:] + pool[:shift]
 
 
 def refine_loop(
@@ -354,7 +339,9 @@ def refine_loop(
 ) -> tuple[Taxonomy, RefinementReport]:
     """Run up to max_iterations validate/refine rounds.
 
-    Per iteration: validate; stop with THRESHOLD_MET when the minimum
+    The validation subset (m_validate documents per gold label) is drawn once,
+    before the first iteration, and every iteration validates on it. Per
+    iteration: validate; stop with THRESHOLD_MET when the minimum
     per-category accuracy reaches the threshold; otherwise mine the confusion
     pairs, adapt each one, refine every below-threshold category that no pair
     names as correct, and continue. A category a pair adapts is not refined
@@ -371,8 +358,8 @@ def refine_loop(
     current = taxonomy
     stop = StopReason.MAX_ITERATIONS
     try:
+        docs = _validation_subset(validation_docs, config)
         for iteration in range(1, config.max_iterations + 1):
-            docs = _validation_subset(validation_docs, config, iteration)
             outcome = validate_category_set(current, docs, backend)
             accuracies = outcome.per_category_accuracy
             minimum = min(accuracies.values(), default=1.0)

@@ -50,7 +50,7 @@ class StubBackend(Backend):
         self._lock = threading.Lock()
 
     def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(supports_label_scoring=self._score_fn is not None, model_id="stub")
+        return BackendCapabilities(model_id="stub")
 
     def complete(self, request: PromptRequest) -> str:
         with self._lock:
@@ -110,7 +110,7 @@ class ScriptedAccuracyBackend(Backend):
         self.complete_calls = 0
 
     def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(supports_label_scoring=True, model_id="scripted")
+        return BackendCapabilities(model_id="scripted")
 
     def complete(self, request: PromptRequest) -> str:
         with self._lock:

@@ -59,7 +59,6 @@ def test_empty_user_text_fails_before_any_call() -> None:
 
 def test_capabilities_report_scoring_support_and_model_id(mock_backend: MockBackend) -> None:
     caps = mock_backend.capabilities()
-    assert caps.supports_label_scoring is True
     assert caps.model_id == "mock-0"
     assert caps.max_concurrency == 4
 
@@ -67,7 +66,7 @@ def test_capabilities_report_scoring_support_and_model_id(mock_backend: MockBack
 @pytest.mark.parametrize("value", [0, -1])
 def test_capabilities_reject_max_concurrency_below_one(value) -> None:
     with pytest.raises(ValueError):
-        BackendCapabilities(supports_label_scoring=True, model_id="m", max_concurrency=value)
+        BackendCapabilities(model_id="m", max_concurrency=value)
 
 
 def test_mock_is_pure_function_of_inputs() -> None:
@@ -94,10 +93,6 @@ def test_describe_directive_emits_documented_template(mock_backend: MockBackend)
         "topic_name": "Login_Password",
         "topic_description": "Covers login, password.",
     }
-
-
-def test_echo_directive_returns_rest_of_line(mock_backend: MockBackend) -> None:
-    assert mock_backend.complete(_request("ECHO: verbatim text here")) == "verbatim text here"
 
 
 def test_tag_template_completion_names_dominant_keywords(mock_backend: MockBackend) -> None:

@@ -227,6 +227,16 @@ def test_unknown_subcommand_exits_two(runner) -> None:
     assert result.exit_code == 2
 
 
+def test_removed_resample_flag_is_a_usage_error(runner, corpus_csv, tmp_path) -> None:
+    out = _bootstrap(runner, corpus_csv, tmp_path)
+    result = runner.invoke(
+        main,
+        ["refine", "--taxonomy", str(out), "--validate", str(corpus_csv), "--resample"],
+    )
+    assert result.exit_code == 2
+    assert "--resample" in result.output
+
+
 def test_missing_taxonomy_file_is_operational_error(runner, tmp_path) -> None:
     result = runner.invoke(
         main, ["classify", "--taxonomy", str(tmp_path / "none.json"), "--text", "x"]

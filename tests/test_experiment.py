@@ -188,7 +188,12 @@ def test_load_plan_round_trip(tmp_path, corpus_csv) -> None:
 
 
 def test_load_plan_rejects_the_removed_adapt_template_field(tmp_path, corpus_csv) -> None:
-    for refinement in ({"adapt_template": "inter_class_adapt"}, {"adapt_after_loop": True}):
+    removed = (
+        {"adapt_template": "inter_class_adapt"},
+        {"adapt_after_loop": True},
+        {"resample_validation": True},
+    )
+    for refinement in removed:
         plan_path = write_plan(
             tmp_path / "plan.json",
             corpus_csv,
@@ -207,3 +212,12 @@ def test_load_plan_rejects_unknown_top_level_keys(tmp_path, corpus_csv) -> None:
     plan_path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(SchemaError, match="m_valdiate"):
         load_plan(plan_path)
+
+
+def test_minimal_plan_loads_to_the_dataclass_defaults(tmp_path, corpus_csv) -> None:
+    plan_path = tmp_path / "plan.json"
+    payload = {"dataset": "csv", "data_path": str(corpus_csv), "seen_labels": ["ClassA"]}
+    plan_path.write_text(json.dumps(payload), encoding="utf-8")
+    plan, config = load_plan(plan_path)
+    assert plan == ExperimentPlan(DatasetKind.GENERIC_CSV, str(corpus_csv), ("ClassA",))
+    assert config == RefinementConfig()

@@ -12,8 +12,9 @@ from tagcraft import PromptRequest, TopicDescriptor, extract_descriptor, extract
 from tagcraft.errors import DescriptorParseError
 from tagcraft.extraction import (
     REPAIR_INSTRUCTION,
-    _brace_only_spans,
-    _string_aware_spans,
+    _QUOTE_BLIND_STOPS,
+    _STRING_AWARE_STOPS,
+    _spans,
     descriptor_to_json,
     request_descriptor,
     request_descriptor_set,
@@ -200,10 +201,10 @@ def _reference_brace_only_spans(text: str, opener: str, closer: str):
 
 def _assert_scanners_match_reference(text: str) -> None:
     for opener, closer in (("{", "}"), ("[", "]")):
-        assert list(_string_aware_spans(text, opener, closer)) == list(
+        assert list(_spans(text, opener, closer, _STRING_AWARE_STOPS)) == list(
             _reference_string_aware_spans(text, opener, closer)
         )
-        assert list(_brace_only_spans(text, opener, closer)) == list(
+        assert list(_spans(text, opener, closer, _QUOTE_BLIND_STOPS)) == list(
             _reference_brace_only_spans(text, opener, closer)
         )
 
@@ -311,3 +312,43 @@ _CONTRAST_EXPECTED = [
 def test_set_extraction_pins_large_contrast_reply(text: str, expected) -> None:
     descriptors = extract_descriptor_set(text)
     assert [(d.topic_name, d.topic_description) for d in descriptors] == expected
+
+
+# -- pinned candidate order -------------------------------------------------------
+
+_A = '{"topic_name": "A", "topic_description": "About a."}'
+_B = '{"topic_name": "B", "topic_description": "About b."}'
+
+
+def _names(text: str) -> list[str]:
+    return [d.topic_name for d in extract_descriptor_set(text)]
+
+
+def test_pin_wrapped_array_is_found_by_its_bracket_span() -> None:
+    text = '{"categories": [' + _A + ", " + _B + "]}"
+    assert _names(text) == ["A", "B"]
+    # The first object found is the wrapper, which is not descriptor-shaped.
+    with pytest.raises(DescriptorParseError):
+        extract_descriptor(text)
+
+
+def test_pin_nested_array_item_comes_after_the_top_level_items() -> None:
+    # The whole-text parse keeps only the mapping items of the outer array;
+    # the nested object is found later, by the object span scan.
+    assert _names("[[" + _A + "], " + _B + "]") == ["B", "A"]
+
+
+def test_pin_array_inside_a_descriptor_is_searched_too() -> None:
+    text = '{"topic_name": "X", "topic_description": "About x.", "examples": [' + _B + "]}"
+    assert _names(text) == ["X", "B"]
+
+
+def test_pin_stray_quote_is_rescued_by_the_quote_blind_scan() -> None:
+    # The first object holds three quotes, so the string-aware scan reads B's
+    # keys as string contents; only the scan that ignores quotes finds B.
+    assert _names('{"note": "5"" inches} ' + _B) == ["B"]
+
+
+def test_pin_fenced_object_wins_over_an_earlier_prose_object() -> None:
+    text = 'The shape is {"note": 1}, for example:\n```json\n' + _A + "\n```"
+    assert extract_descriptor(text).topic_name == "A"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import random
+import re
 
 import pytest
 
@@ -390,30 +391,31 @@ def test_loop_emits_run_log_events() -> None:
     assert events[2]["pair"] == ["Alpha", "Beta"]
 
 
-def test_loop_resample_validation_draws_fresh_subsets() -> None:
-    seen_idx: set[int] = set()
+@pytest.mark.parametrize("strategy", list(SamplingStrategy))
+def test_loop_validates_one_subset_in_every_iteration(strategy) -> None:
+    validated: list[str] = []
 
     class Recording(ScriptedAccuracyBackend):
         def score_labels(self, request, candidates):
-            import re
-
-            match = re.search(r"idx=(\d+)", request.user_text)
-            seen_idx.add(int(match.group(1)))
+            validated.append(re.search(r"gold=\S+ idx=\d+", request.user_text).group(0))
             return super().score_labels(request, candidates)
 
     backend = Recording([{"Alpha": 0, "Beta": 0}])
     taxonomy = make_taxonomy([("Alpha", "a"), ("Beta", "b")])
-    docs = scripted_docs(["Alpha", "Beta"], 40)  # pool is twice m_validate
-    refine_loop(
-        taxonomy,
-        docs,
-        _loop_config(
-            m_validate=10,
-            max_iterations=3,
-            resample_validation=True,
-            sampling_strategy=SamplingStrategy.SEEDED_RANDOM,
-        ),
-        backend,
-    )
-    # fresh draws across iterations touch more than one iteration's worth
-    assert len(seen_idx) > 10
+    docs = scripted_docs(["Alpha", "Beta"], 40)  # each pool is four times m_validate
+    config = _loop_config(m_validate=10, max_iterations=3, sampling_strategy=strategy)
+    _, report = refine_loop(taxonomy, docs, config, backend)
+    assert report.iterations_run == 3
+    assert len(validated) == 60
+    passes = [sorted(validated[start : start + 20]) for start in range(0, 60, 20)]
+    assert passes[0] == passes[1] == passes[2]
+    pools = {"Alpha": docs[:40], "Beta": docs[40:]}
+    if strategy is SamplingStrategy.FIRST_N:
+        drawn = [d for pool in pools.values() for d in pool[:10]]
+    else:
+        drawn = [
+            d
+            for label, pool in pools.items()
+            for d in random.Random(f"1:{label}:0").sample(pool, 10)
+        ]
+    assert passes[0] == sorted(d.text for d in drawn)
