@@ -22,6 +22,7 @@ from .backends import Backend, HttpBackend, MockBackend
 from .classify import classify as classify_document
 from .describe import SamplePlan, bootstrap_taxonomy, contrast_taxonomy
 from .errors import TagcraftError
+from .extraction import extract_descriptor
 from .fileio import write_text_atomic
 from .model import (
     Document,
@@ -93,7 +94,7 @@ def _guarded(fn):
 
 @click.group()
 @click.option("--backend", "backend_kind", type=click.Choice(["http", "mock"]), default="mock", show_default=True)
-@click.option("--config", "config_path", type=click.Path(), default=None, help="Key-value config file supplying flag defaults.")
+@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="Key-value config file supplying flag defaults.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--log", "log_path", type=click.Path(), default=None, help="JSON-lines run log path.")
 @click.option("--templates", "templates_dir", type=click.Path(exists=True, file_okay=False), default=None, help="Template override directory.")
@@ -259,8 +260,7 @@ def classify(state: CliState, taxonomy_path, text, file_path, verbose):
 
 def _read_descriptor_options(name, description, from_json):
     if from_json:
-        data = json.loads(Path(from_json).read_text(encoding="utf-8"))
-        return TopicDescriptor(data["topic_name"], data["topic_description"])
+        return extract_descriptor(Path(from_json).read_text(encoding="utf-8"))
     if name is None:
         raise click.UsageError("provide --name (with --description) or --from-json")
     if description is None:

@@ -80,6 +80,8 @@ class ExperimentPlan:
             raise ValueError("an experiment needs at least one seen label")
         seen = {label.casefold() for label in self.seen_labels}
         unseen = {label.casefold() for label in self.unseen_labels}
+        if len(seen) < len(self.seen_labels) or len(unseen) < len(self.unseen_labels):
+            raise ValueError("duplicate labels: each label may be listed once")
         if seen & unseen:
             raise ValueError("seen and unseen labels must be disjoint")
         if min(self.n_bootstrap, self.m_validate, self.test_per_class) < 1:
@@ -169,8 +171,6 @@ def load_plan(path: str | Path) -> tuple[ExperimentPlan, RefinementConfig]:
         refinement.setdefault("n_bootstrap", plan.n_bootstrap)
         refinement.setdefault("m_validate", plan.m_validate)
         refinement.setdefault("seed", plan.seed)
-        if "sampling_strategy" in refinement:
-            refinement["sampling_strategy"] = SamplingStrategy(refinement["sampling_strategy"])
         config = RefinementConfig(**refinement)
     except (KeyError, TypeError, ValueError) as err:
         raise SchemaError(f"invalid plan {path}: {err}") from err
@@ -214,7 +214,7 @@ def run_experiment(
         test_per_class=plan.test_per_class,
         seed=plan.seed,
     )
-    sample_plan = SamplePlan(config.sampling_strategy, plan.n_bootstrap, config.seed)
+    sample_plan = SamplePlan(SamplingStrategy.SEEDED_RANDOM, plan.n_bootstrap, config.seed)
     train_docs = [doc for label in plan.seen_labels for doc in split.seen_train[label]]
     taxonomy, label_names = bootstrap_taxonomy(train_docs, plan.seen_labels, sample_plan, backend)
     checkpoint(taxonomy)

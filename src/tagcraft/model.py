@@ -237,7 +237,6 @@ class RefinementConfig:
     accuracy_threshold: float = 0.80
     max_iterations: int = 4
     seed: int = 0
-    sampling_strategy: SamplingStrategy = SamplingStrategy.SEEDED_RANDOM
     min_confusion_count: int = 2
     top_k_pairs: int = 3
 

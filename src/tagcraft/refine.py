@@ -6,6 +6,9 @@ pairs. Each pair's correct category is sharpened against its confusion; every
 other category whose accuracy fell below the threshold is refined from its
 correctly- and mis-classified samples. The loop stops as soon as the minimum
 per-category accuracy reaches the threshold, or after max_iterations.
+Refine, adapt and the enrichment of a user-written topic share one rewrite
+step, sharpen_description: show the model the samples a category got right
+and wrong, and ask for a better description under the same name.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ import enum
 import logging
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from functools import partial
+from typing import Iterable, Mapping, Sequence
 
-from .backends.base import Backend, PromptRequest
+from .backends.base import Backend
 from .classify import ClassificationFailure, classify_batch
 from .errors import (
     MissingSamplesError,
@@ -31,7 +35,6 @@ from .model import (
     ConfusionMatrix,
     Document,
     RefinementConfig,
-    SamplingStrategy,
     Stage,
     Taxonomy,
     TopicDescriptor,
@@ -42,9 +45,6 @@ from .prompts import TemplateId, format_sample_block, render
 from .runlog import RunLog, prompt_sha256
 
 logger = logging.getLogger(__name__)
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 @dataclass
@@ -137,6 +137,44 @@ def validate_category_set(
     )
 
 
+def sharpen_description(
+    template: TemplateId,
+    name: str,
+    right_texts: Iterable[str],
+    wrong_texts: Iterable[str],
+    bindings: Mapping[str, str],
+    backend: Backend,
+    log: RunLog | None,
+    stage: Stage,
+    **fields,
+) -> TopicDescriptor:
+    """Render ``template`` with the sample texts the category ``name`` got
+    right and wrong plus ``bindings``, request one descriptor (repairs
+    included) and return it named ``name``: a reply that renames the category
+    is named back and the rename logged. With a log, one ``stage`` event
+    carries the prompt hash, whether a descriptor came back, and ``fields``.
+    """
+    request = render(
+        template,
+        {
+            "df_subset_right": format_sample_block(right_texts),
+            "df_subset_wrong": format_sample_block(wrong_texts),
+            "correct_category": name,
+            **bindings,
+        },
+    )
+    ok = False
+    try:
+        descriptor = request_descriptor(backend, request)
+        ok = True
+    finally:
+        if log:
+            log.emit(stage.value, prompt_hash=prompt_sha256(request.user_text), ok=ok, **fields)
+    if name_key(descriptor.topic_name) != name_key(name):
+        logger.info("%s reply renamed %r to %r; reverted", stage.value, name, descriptor.topic_name)
+    return replace(descriptor, topic_name=name)
+
+
 def refine_description(
     category: Category,
     right: Sequence[Document],
@@ -152,63 +190,18 @@ def refine_description(
     """
     if not wrong:
         raise ValueError("refinement is triggered by errors; wrong samples are required")
-    return request_refinement(
+    return sharpen_description(
+        TemplateId.MISCLASS_REFINE,
         category.name,
-        category.descriptor,
         (d.text for d in right),
         (d.text for d, _ in wrong),
+        {"category_list": descriptor_to_json(category.descriptor)},
         backend,
         log,
+        Stage.REFINE,
         iteration=iteration,
         category=category.name,
     )
-
-
-def request_refinement(
-    name: str,
-    current: TopicDescriptor,
-    right: Iterable[str],
-    wrong: Iterable[str],
-    backend: Backend,
-    log: RunLog | None = None,
-    **fields,
-) -> TopicDescriptor:
-    """One misclassification-refine prompt for the category ``name``: its
-    current descriptor plus the sample texts it got right and wrong. A reply
-    that renames the category is overridden back to ``name``. With a log, one
-    "refine" event carries ``fields``.
-    """
-    request = render(
-        TemplateId.MISCLASS_REFINE,
-        {
-            "df_subset_right": format_sample_block(right),
-            "df_subset_wrong": format_sample_block(wrong),
-            "correct_category": name,
-            "category_list": descriptor_to_json(current),
-        },
-    )
-    descriptor = _logged_request(backend, request, log, "refine", **fields)
-    if name_key(descriptor.topic_name) != name_key(name):
-        logger.info(
-            "refine reply renamed %r to %r; name overridden back", name, descriptor.topic_name
-        )
-    return replace(descriptor, topic_name=name)
-
-
-def _logged_request(
-    backend: Backend, request: PromptRequest, log: RunLog | None, stage: str, **fields
-) -> TopicDescriptor:
-    """request_descriptor plus one run-log event carrying the prompt hash and
-    whether a descriptor came back.
-    """
-    ok = False
-    try:
-        descriptor = request_descriptor(backend, request)
-        ok = True
-    finally:
-        if log:
-            log.emit(stage, prompt_hash=prompt_sha256(request.user_text), ok=ok, **fields)
-    return descriptor
 
 
 def mine_confusion_pairs(
@@ -256,76 +249,35 @@ def adapt_pair(
         raise MissingSamplesError(
             f"no validation samples for confusion {pair.correct!r} -> {pair.wrong!r}"
         )
-    request = render(
+    return sharpen_description(
         TemplateId.INTER_CLASS_ADAPT,
-        {
-            "df_subset_right": format_sample_block(d.text for d in right),
-            "df_subset_wrong": format_sample_block(d.text for d in wrong_docs),
-            "correct_category": correct_category.name,
-            "wrong_category": wrong_category.name,
-        },
-    )
-    descriptor = _logged_request(
+        correct_category.name,
+        (d.text for d in right),
+        (d.text for d in wrong_docs),
+        {"wrong_category": wrong_category.name},
         backend,
-        request,
         log,
-        "adapt",
+        Stage.ADAPT,
         iteration=iteration,
         category=correct_category.name,
         pair=(pair.correct, pair.wrong),
     )
-    return replace(descriptor, topic_name=correct_category.name)
-
-
-def _wave(
-    run: Callable[[T, RunLog | None], R],
-    items: Sequence[T],
-    backend: Backend,
-    log: RunLog | None,
-) -> Iterator[tuple[T, R]]:
-    """Call ``run(item, item_log)`` for every item concurrently, up to the
-    backend's max_concurrency; once all calls have finished, yield
-    ``(item, result)`` in item order, appending each item's log events to
-    ``log`` just before its result. The first failure in item order ends the
-    wave: its events are appended and its exception raised, and the results
-    and events of later items are dropped, exactly as if the items had run
-    one after another.
-    """
-    logs = [RunLog.in_memory() if log else None for _ in items]
-
-    def attempt(index: int) -> tuple[R | None, Exception | None]:
-        try:
-            return run(items[index], logs[index]), None
-        except Exception as err:
-            return None, err
-
-    outcomes = ordered_map(attempt, range(len(items)), backend.capabilities().max_concurrency)
-    for item, item_log, (result, error) in zip(items, logs, outcomes):
-        if item_log is not None:
-            log.append(item_log)
-        if error is not None:
-            raise error
-        yield item, result
 
 
 def _validation_subset(
     validation_docs: Sequence[Document], config: RefinementConfig
 ) -> list[Document]:
-    """Pick m_validate documents per gold label, labels in order of first
-    appearance: the first ones under FIRST_N, otherwise a draw seeded by the
-    config seed and the label.
+    """Draw m_validate documents per gold label, seeded by the config seed and
+    the label, labels in order of first appearance.
     """
     grouped: dict[str, list[Document]] = {}
     for document in validation_docs:
         grouped.setdefault(document.gold_label or "", []).append(document)
     subset: list[Document] = []
     for label, pool in grouped.items():
-        k = min(config.m_validate, len(pool))
-        if config.sampling_strategy is SamplingStrategy.FIRST_N:
-            subset.extend(pool[:k])
-        else:
-            # The ":0" suffix is part of the seed: dropping it changes every subset and prompt.
-            subset.extend(random.Random(f"{config.seed}:{label}:0").sample(pool, k))
+        # The ":0" suffix is part of the seed: dropping it changes every subset and prompt.
+        rng = random.Random(f"{config.seed}:{label}:0")
+        subset.extend(rng.sample(pool, min(config.m_validate, len(pool))))
     return subset
 
 
@@ -347,9 +299,12 @@ def refine_loop(
     names as correct, and continue. A category a pair adapts is not refined
     too: the adaptation would overwrite the refine. Exhausting the iteration
     budget stops with MAX_ITERATIONS. The refines and adaptations of one
-    iteration run as one concurrent wave from the same snapshot and outcome,
-    none reading another's result; they are applied and logged refines first
-    in taxonomy order, then adaptations in pair order, one upsert each.
+    iteration are one job list, run as one concurrent wave from the same
+    snapshot and outcome; once all have finished they are applied and logged
+    in list order, refines first in taxonomy order, then adaptations in pair
+    order, one upsert each. The first failure in that order ends the wave: its
+    event is logged after those of the jobs before it, and later jobs are
+    dropped, exactly as if the jobs had run one after another.
 
     On a stage failure the partial iteration records are attached to a
     RefinementAbortedError whose __cause__ is the original error.
@@ -380,29 +335,32 @@ def refine_loop(
                 if accuracies.get(category.name, 1.0) < config.accuracy_threshold
                 and name_key(category.name) not in adapted
             ]
-            snapshot = current
+            jobs = []
+            for category in refines:
+                right = outcome.correct.get(category.name, [])
+                wrong = outcome.misclassified.get(category.name, [])
+                call = partial(refine_description, category, right, wrong, backend)
+                jobs.append((Stage.REFINE, category.name, call))
+            jobs += [
+                (Stage.ADAPT, pair, partial(adapt_pair, pair, outcome, current, backend))
+                for pair in pairs
+            ]
+            logs = [RunLog.in_memory() if log else None for _ in jobs]
 
-            def run(item: Category | ConfusionPair, item_log: RunLog | None) -> TopicDescriptor:
-                if isinstance(item, ConfusionPair):
-                    return adapt_pair(
-                        item, outcome, snapshot, backend, iteration=iteration, log=item_log
-                    )
-                return refine_description(
-                    item,
-                    outcome.correct.get(item.name, []),
-                    outcome.misclassified.get(item.name, []),
-                    backend,
-                    log=item_log,
-                    iteration=iteration,
-                )
+            def attempt(index: int) -> tuple[TopicDescriptor | None, Exception | None]:
+                try:
+                    return jobs[index][2](log=logs[index], iteration=iteration), None
+                except Exception as err:
+                    return None, err
 
-            for item, descriptor in _wave(run, [*refines, *pairs], backend, log):
-                if isinstance(item, ConfusionPair):
-                    current = taxonomy_upsert(current, descriptor, Stage.ADAPT, iteration)
-                    record.adapted.append(item)
-                else:
-                    current = taxonomy_upsert(current, descriptor, Stage.REFINE, iteration)
-                    record.refined.append(item.name)
+            results = ordered_map(attempt, range(len(jobs)), backend.capabilities().max_concurrency)
+            for (stage, item, _), item_log, (descriptor, error) in zip(jobs, logs, results):
+                if item_log is not None:
+                    log.append(item_log)
+                if error is not None:
+                    raise error
+                current = taxonomy_upsert(current, descriptor, stage, iteration)
+                (record.refined if stage is Stage.REFINE else record.adapted).append(item)
     except Exception as err:
         raise RefinementAbortedError(
             f"refinement aborted at iteration {len(records)}: {err}", records

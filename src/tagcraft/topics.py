@@ -11,6 +11,7 @@ from typing import Sequence
 from .backends.base import Backend
 from .describe import contrast_taxonomy
 from .errors import ContrastDroppedAllError, DuplicateNameError, UnknownCategoryError
+from .extraction import descriptor_to_json
 from .model import (
     Document,
     Provenance,
@@ -19,7 +20,8 @@ from .model import (
     TopicDescriptor,
     taxonomy_upsert,
 )
-from .refine import request_refinement
+from .prompts import TemplateId
+from .refine import sharpen_description
 
 logger = logging.getLogger(__name__)
 
@@ -27,12 +29,20 @@ logger = logging.getLogger(__name__)
 def _enrich(
     rough: TopicDescriptor, backend: Backend, sample_docs: Sequence[Document] | None
 ) -> TopicDescriptor:
-    """Expand a rough user description through the refinement prompt path,
+    """Expand a rough user description through the refine rewrite step,
     with the user's exemplars (when given) standing in for correctly
-    classified samples. The topic name is preserved.
+    classified samples and no wrong ones. The topic name is preserved.
     """
-    right = (d.text for d in sample_docs or [])
-    return request_refinement(rough.topic_name, rough, right, [], backend)
+    return sharpen_description(
+        TemplateId.MISCLASS_REFINE,
+        rough.topic_name,
+        (d.text for d in sample_docs or []),
+        [],
+        {"category_list": descriptor_to_json(rough)},
+        backend,
+        None,
+        Stage.HITL,
+    )
 
 
 def _contrasted(taxonomy: Taxonomy, backend: Backend, run_contrast: bool) -> Taxonomy:

@@ -34,7 +34,6 @@ from tagcraft import (
     Document,
     MockBackend,
     RefinementConfig,
-    SamplingStrategy,
     Stage,
     StopReason,
     TopicDescriptor,
@@ -89,7 +88,6 @@ def test_criterion_1_loop_termination_and_stop_correctness() -> None:
             accuracy_threshold=threshold,
             max_iterations=max_iterations,
             seed=1,
-            sampling_strategy=SamplingStrategy.FIRST_N,
             min_confusion_count=1,
             top_k_pairs=2,
         )

@@ -244,6 +244,32 @@ def test_missing_taxonomy_file_is_operational_error(runner, tmp_path) -> None:
     assert result.exit_code == 1
 
 
+def test_missing_config_file_is_a_usage_error(runner, tmp_path) -> None:
+    result = runner.invoke(
+        main, ["--config", str(tmp_path / "none.conf"), "classify", "--taxonomy", "t", "--text", "x"]
+    )
+    assert result.exit_code == 2
+    assert "--config" in result.output
+
+
+@pytest.mark.parametrize("command", ["add-topic", "revise-topic"])
+@pytest.mark.parametrize("payload", ["{}", "[1]"])
+def test_from_json_without_a_descriptor_is_an_operational_error(
+    runner, corpus_csv, tmp_path, command, payload
+) -> None:
+    out = _bootstrap(runner, corpus_csv, tmp_path)
+    source = tmp_path / "topic.json"
+    source.write_text(payload, encoding="utf-8")
+    # revise-topic needs a category that exists, add-topic one that does not.
+    name = load_taxonomy(out).names()[0] if command == "revise-topic" else "Fresh_Topic"
+    result = runner.invoke(
+        main, [command, "--taxonomy", str(out), "--name", name, "--from-json", str(source)]
+    )
+    assert result.exit_code == 1
+    assert result.output.startswith("error:")
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_config_file_supplies_defaults_and_flags_override(runner, corpus_csv, tmp_path) -> None:
     config = tmp_path / "conf.txt"
     config.write_text("seed = 4\nn = 10\nbackend = mock\n", encoding="utf-8")

@@ -45,6 +45,19 @@ def test_plan_rejects_overlapping_labels(corpus_csv) -> None:
         _plan(corpus_csv, unseen_labels=("classa",))
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [
+        {"seen_labels": ("ClassA", "ClassA", "ClassB", "ClassC")},
+        {"seen_labels": ("ClassA", "classa", "ClassB")},
+        {"unseen_labels": ("ClassD", "CLASSD")},
+    ],
+)
+def test_plan_rejects_duplicate_labels(corpus_csv, labels) -> None:
+    with pytest.raises(ValueError, match="duplicate"):
+        _plan(corpus_csv, **labels)
+
+
 def test_preset_plans() -> None:
     agnews = preset_plan("agnews", "ag.csv")
     assert agnews.seen_labels == ("World", "Sports", "Business")
@@ -192,6 +205,7 @@ def test_load_plan_rejects_the_removed_adapt_template_field(tmp_path, corpus_csv
         {"adapt_template": "inter_class_adapt"},
         {"adapt_after_loop": True},
         {"resample_validation": True},
+        {"sampling_strategy": "first_n"},
     )
     for refinement in removed:
         plan_path = write_plan(

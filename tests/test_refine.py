@@ -13,10 +13,11 @@ from tagcraft import (
     ConfusionPair,
     Document,
     RefinementConfig,
-    SamplingStrategy,
     Stage,
     StopReason,
+    TopicDescriptor,
     adapt_pair,
+    add_topic,
     mine_confusion_pairs,
     refine_description,
     refine_loop,
@@ -122,6 +123,42 @@ def test_refine_reply_rename_is_overridden_back() -> None:
     )
     assert descriptor.topic_name == "Stable_Name"
     assert descriptor.topic_description == "new text."
+
+
+def _refine_stable_name(backend):
+    taxonomy = make_taxonomy([("Stable_Name", "old text")])
+    wrong = [(Document(id="w", text="x"), "Other")]
+    return "Stable_Name", refine_description(taxonomy.categories[0], [], wrong, backend)
+
+
+def _adapt_software_auth(backend):
+    taxonomy = make_taxonomy([("Software_Auth", "software"), ("Hardware_Auth", "hardware")])
+    pair = ConfusionPair("Software_Auth", "Hardware_Auth", 2)
+    return "Software_Auth", adapt_pair(pair, _outcome_for_pair(), taxonomy, backend)
+
+
+def _add_stable_name(backend):
+    rough = TopicDescriptor("Stable_Name", "rough words")
+    taxonomy = add_topic(rough, make_taxonomy([("Other", "o")]), backend, run_contrast=False)
+    return "Stable_Name", taxonomy.categories[-1].descriptor
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [_refine_stable_name, _adapt_software_auth, _add_stable_name],
+    ids=["refine_description", "adapt_pair", "add_topic"],
+)
+def test_rewrite_step_names_a_renaming_reply_back_and_logs_it(rewrite, caplog) -> None:
+    backend = StubBackend(
+        completions=['{"topic_name": "Totally_Different", "topic_description": "new text."}']
+    )
+    with caplog.at_level("INFO", logger="tagcraft.refine"):
+        name, descriptor = rewrite(backend)
+    assert descriptor == TopicDescriptor(name, "new text.")
+    renames = [r for r in caplog.records if r.levelname == "INFO" and "renamed" in r.getMessage()]
+    assert len(renames) == 1
+    assert name in renames[0].getMessage()
+    assert "Totally_Different" in renames[0].getMessage()
 
 
 def test_refine_requires_misclassified_samples(mock_backend) -> None:
@@ -260,7 +297,6 @@ def _loop_config(**kwargs) -> RefinementConfig:
         accuracy_threshold=0.8,
         max_iterations=4,
         seed=1,
-        sampling_strategy=SamplingStrategy.FIRST_N,
         min_confusion_count=2,
         top_k_pairs=3,
     )
@@ -391,8 +427,7 @@ def test_loop_emits_run_log_events() -> None:
     assert events[2]["pair"] == ["Alpha", "Beta"]
 
 
-@pytest.mark.parametrize("strategy", list(SamplingStrategy))
-def test_loop_validates_one_subset_in_every_iteration(strategy) -> None:
+def test_loop_validates_one_subset_in_every_iteration() -> None:
     validated: list[str] = []
 
     class Recording(ScriptedAccuracyBackend):
@@ -403,19 +438,14 @@ def test_loop_validates_one_subset_in_every_iteration(strategy) -> None:
     backend = Recording([{"Alpha": 0, "Beta": 0}])
     taxonomy = make_taxonomy([("Alpha", "a"), ("Beta", "b")])
     docs = scripted_docs(["Alpha", "Beta"], 40)  # each pool is four times m_validate
-    config = _loop_config(m_validate=10, max_iterations=3, sampling_strategy=strategy)
+    config = _loop_config(m_validate=10, max_iterations=3)
     _, report = refine_loop(taxonomy, docs, config, backend)
     assert report.iterations_run == 3
     assert len(validated) == 60
     passes = [sorted(validated[start : start + 20]) for start in range(0, 60, 20)]
     assert passes[0] == passes[1] == passes[2]
     pools = {"Alpha": docs[:40], "Beta": docs[40:]}
-    if strategy is SamplingStrategy.FIRST_N:
-        drawn = [d for pool in pools.values() for d in pool[:10]]
-    else:
-        drawn = [
-            d
-            for label, pool in pools.items()
-            for d in random.Random(f"1:{label}:0").sample(pool, 10)
-        ]
+    drawn = [
+        d for label, pool in pools.items() for d in random.Random(f"1:{label}:0").sample(pool, 10)
+    ]
     assert passes[0] == sorted(d.text for d in drawn)
