@@ -37,15 +37,21 @@ ENV_BASE_URL = "LLM_BASE_URL"
 ENV_API_KEY = "LLM_API_KEY"
 ENV_MODEL = "LLM_MODEL"
 
+# Attempts after the first for a 429, a 5xx, a transport failure or a
+# malformed reply; attempt n waits BACKOFF_BASE_S * 2 ** (n - 1) seconds.
+MAX_RETRIES = 3
+BACKOFF_BASE_S = 0.5
 # Longest wait a numeric Retry-After header on a 429 or 503 may ask for.
 RETRY_AFTER_MAX_S = 30.0
+# Alternatives asked for at each generated position when scoring labels.
+TOP_LOGPROBS = 20
 
 
 class HttpBackend(Backend):
     """Client for a chat-completions endpoint (``POST {base_url}/v1/chat/completions``).
 
     Retries RateLimited and TransportError with bounded exponential backoff
-    (max_retries additional attempts), or after the numeric ``Retry-After``
+    (MAX_RETRIES additional attempts), or after the numeric ``Retry-After``
     of a 429 or 503; 4xx rejections are never retried. ``max_concurrency`` is
     reported through capabilities(); the stages that fan calls out keep at
     most that many in flight.
@@ -61,10 +67,7 @@ class HttpBackend(Backend):
         api_key: str | None = None,
         model: str | None = None,
         timeout: float = 60.0,
-        max_retries: int = 3,
-        backoff_base: float = 0.5,
         max_concurrency: int = 4,
-        top_logprobs: int = 20,
     ):
         self.base_url = (base_url or os.environ.get(ENV_BASE_URL, "")).rstrip("/")
         self.api_key = api_key if api_key is not None else os.environ.get(ENV_API_KEY, "")
@@ -73,14 +76,8 @@ class HttpBackend(Backend):
             raise ValueError(f"no base URL configured (set {ENV_BASE_URL})")
         if not self.model:
             raise ValueError(f"no model configured (set {ENV_MODEL})")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
-        if backoff_base < 0:
-            raise ValueError(f"backoff_base must be >= 0, got {backoff_base}")
-        if top_logprobs < 0:
-            raise ValueError(f"top_logprobs must be >= 0, got {top_logprobs}")
         url = urllib.parse.urlsplit(self.base_url)
         # Credentials, a query or a fragment would be dropped from every request.
         extras = url.username is not None or url.query or url.fragment
@@ -94,9 +91,6 @@ class HttpBackend(Backend):
         if self.api_key:
             self._headers["Authorization"] = f"Bearer {self.api_key}"
         self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.top_logprobs = top_logprobs
         self._capabilities = BackendCapabilities(model_id=self.model, max_concurrency=max_concurrency)
         self._idle: list[http.client.HTTPConnection] = []
         self._idle_lock = threading.Lock()
@@ -122,7 +116,7 @@ class HttpBackend(Backend):
         }
         if want_logprobs:
             payload["logprobs"] = True
-            payload["top_logprobs"] = self.top_logprobs
+            payload["top_logprobs"] = TOP_LOGPROBS
         return payload
 
     def _connection(self) -> http.client.HTTPConnection:
@@ -162,9 +156,9 @@ class HttpBackend(Backend):
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
         last_error: Exception | None = None
         delay: float | None = None  # set by a Retry-After header
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
-                time.sleep(self.backoff_base * (2 ** (attempt - 1)) if delay is None else delay)
+                time.sleep(BACKOFF_BASE_S * (2 ** (attempt - 1)) if delay is None else delay)
             delay = None
             try:
                 status, retry_after, data = self._send(body)

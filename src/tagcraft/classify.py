@@ -77,17 +77,10 @@ def _classify(
 
 
 def argmax(scores: dict[str, float], order: Sequence[str]) -> str:
-    """First candidate (in the given order) holding the maximal score."""
-    best_name: str | None = None
-    best_score = 0.0
-    for name in order:
-        score = scores[name]
-        if best_name is None or score > best_score:
-            best_name = name
-            best_score = score
-    if best_name is None:
-        raise ValueError("argmax over empty candidate order")
-    return best_name
+    """First candidate (in the given order) holding the maximal score; a
+    candidate missing from scores raises KeyError.
+    """
+    return max(order, key=scores.__getitem__)
 
 
 def classify_batch(

@@ -8,14 +8,14 @@ win, and environment variables only ever supply backend credentials.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import click
-from click.core import ParameterSource
 
 from . import experiment as xp
 from .backends import Backend, HttpBackend, MockBackend
@@ -29,6 +29,7 @@ from .model import (
     RefinementConfig,
     SamplingStrategy,
     TopicDescriptor,
+    group_by_label,
     load_taxonomy,
     save_taxonomy,
 )
@@ -50,8 +51,8 @@ class CliState:
             return MockBackend(seed=self.seed)
         return HttpBackend()
 
-    def open_log(self) -> RunLog | None:
-        return RunLog.open(self.log_path) if self.log_path else None
+    def open_log(self) -> RunLog | contextlib.nullcontext:
+        return RunLog.open(self.log_path) if self.log_path else contextlib.nullcontext()
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -68,6 +69,29 @@ def _load_config(path: str | None) -> dict[str, str]:
         key, value = line.split("=", 1)
         values[key.strip().replace("-", "_")] = value.strip()
     return values
+
+
+def _apply_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Make each config key the default of the flags it spells, globally and
+    in every subcommand; a key spelling no flag is a usage error."""
+    config = _load_config(path)
+    known: set[str] = set()
+
+    def defaults(command: click.Command) -> dict[str, str]:
+        found = {}
+        for option in command.params:
+            for opt in option.opts:
+                key = opt.lstrip("-").replace("-", "_")
+                known.add(key)
+                if key in config:
+                    found[option.name] = config[key]
+        return found
+
+    ctx.default_map = defaults(main)
+    ctx.default_map.update((name, defaults(command)) for name, command in main.commands.items())
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise click.UsageError(f"config keys that name no flag: {', '.join(unknown)}")
 
 
 def _fail(state: CliState, err: Exception) -> None:
@@ -94,7 +118,7 @@ def _guarded(fn):
 
 @click.group()
 @click.option("--backend", "backend_kind", type=click.Choice(["http", "mock"]), default="mock", show_default=True)
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="Key-value config file supplying flag defaults.")
+@click.option("--config", type=click.Path(exists=True, dir_okay=False), is_eager=True, expose_value=False, callback=_apply_config, help="Key-value config file supplying flag defaults.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--log", "log_path", type=click.Path(), default=None, help="JSON-lines run log path.")
 @click.option("--templates", "templates_dir", type=click.Path(exists=True, file_okay=False), default=None, help="Template override directory.")
@@ -102,30 +126,6 @@ def _guarded(fn):
 @click.pass_context
 def main(ctx, **params):
     """Zero-shot classification with evolving category descriptions."""
-    # Config keys are flag spellings. Each supplies the default of the flags
-    # it spells, globally and in every subcommand; a key spelling no flag is
-    # a usage error.
-    config = _load_config(params.pop("config_path"))
-    known: set[str] = set()
-
-    def defaults(command: click.Command) -> dict[str, str]:
-        found = {}
-        for param in command.params:
-            for opt in param.opts:
-                key = opt.lstrip("-").replace("-", "_")
-                known.add(key)
-                if key in config:
-                    found[param.name] = config[key]
-        return found
-
-    flags = defaults(main)
-    ctx.default_map = {name: defaults(command) for name, command in main.commands.items()}
-    unknown = sorted(set(config) - known)
-    if unknown:
-        raise click.UsageError(f"config keys that name no flag: {', '.join(unknown)}")
-    for param in main.params:
-        if param.name in flags and ctx.get_parameter_source(param.name) == ParameterSource.DEFAULT:
-            params[param.name] = param.type_cast_value(ctx, flags[param.name])
     # Set on every invocation, so one run's override never reaches the next.
     use_templates(params.pop("templates_dir"))
     ctx.obj = CliState(**params)
@@ -141,9 +141,12 @@ def _load_docs(path: str, fmt: str) -> list[Document]:
 def _apply_label_map(docs: list[Document], map_path: str | None) -> list[Document]:
     if not map_path:
         return docs
-    mapping = json.loads(Path(map_path).read_text(encoding="utf-8"))
-    from dataclasses import replace
-
+    try:
+        mapping = json.loads(Path(map_path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise ValueError(f"label map {map_path} is not valid JSON: {err}") from err
+    if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
+        raise ValueError(f"label map {map_path} must be a JSON object mapping labels to name strings")
     return [
         replace(d, gold_label=mapping.get(d.gold_label, d.gold_label)) if d.gold_label else d
         for d in docs
@@ -155,23 +158,18 @@ def _apply_label_map(docs: list[Document], map_path: str | None) -> list[Documen
 @click.option("--format", "fmt", type=click.Choice(_FORMATS), default="csv", show_default=True)
 @click.option("--labels", default=None, help="Comma-separated labels to bootstrap (default: all found).")
 @click.option("--n", "n_samples", type=int, default=20, show_default=True)
-@click.option("--strategy", type=click.Choice([s.value for s in SamplingStrategy]), default=SamplingStrategy.SEEDED_RANDOM.value, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--map-out", "map_path", type=click.Path(), default=None, help="Where to write the label -> category-name map (default: <out>.labels.json).")
 @click.pass_obj
 @_guarded
-def bootstrap(state: CliState, dataset_path, fmt, labels, n_samples, strategy, out_path, map_path):
+def bootstrap(state: CliState, dataset_path, fmt, labels, n_samples, out_path, map_path):
     """Bootstrap one category per label from sampled documents."""
     docs = _load_docs(dataset_path, fmt)
     if labels:
         label_list = [x.strip() for x in labels.split(",") if x.strip()]
     else:
-        seen: list[str] = []
-        for d in docs:
-            if d.gold_label and d.gold_label not in seen:
-                seen.append(d.gold_label)
-        label_list = seen
-    plan = SamplePlan(SamplingStrategy(strategy), n_samples, state.seed)
+        label_list = list(group_by_label(docs))
+    plan = SamplePlan(SamplingStrategy.SEEDED_RANDOM, n_samples, state.seed)
     backend = state.make_backend()
     taxonomy, mapping = bootstrap_taxonomy(docs, label_list, plan, backend)
     save_taxonomy(taxonomy, out_path)
@@ -222,12 +220,8 @@ def refine(state: CliState, taxonomy_path, validate_path, fmt, label_map, thresh
         top_k_pairs=top_k,
     )
     backend = state.make_backend()
-    log = state.open_log()
-    try:
+    with state.open_log() as log:
         result, report = refine_loop(taxonomy, docs, config, backend, log=log)
-    finally:
-        if log:
-            log.close()
     save_taxonomy(result, out_path or taxonomy_path)
     report_file = Path(report_path) if report_path else Path(taxonomy_path).with_suffix(".report.json")
     write_text_atomic(report_file, json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
@@ -348,12 +342,8 @@ def run_cmd(state: CliState, plan_path, out_dir):
     classes, evaluate again; persists taxonomy, report, and predictions."""
     plan, config = xp.load_plan(plan_path)
     backend = state.make_backend()
-    log = state.open_log()
-    try:
+    with state.open_log() as log:
         result = xp.run_experiment(plan, backend, config, log=log, checkpoint_dir=out_dir)
-    finally:
-        if log:
-            log.close()
     report_path = xp.persist_result(result, out_dir)
     click.echo(
         f"phase1 accuracy {result.phase1.overall_accuracy:.3f}; "

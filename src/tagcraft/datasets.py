@@ -32,9 +32,11 @@ DBPEDIA_LABELS = (
 
 
 def _read_rows(path: str | Path) -> list[tuple[int, list[str]]]:
+    """The non-blank rows, each with the physical line on which it ends."""
     try:
         with Path(path).open("r", encoding="utf-8", newline="") as handle:
-            return [(line, row) for line, row in enumerate(csv.reader(handle), start=1) if row]
+            reader = csv.reader(handle)
+            return [(reader.line_num, row) for row in reader if row]
     except OSError as err:
         raise FileIOError(f"cannot read dataset {path}: {err}") from err
 
@@ -90,27 +92,20 @@ def load_generic_csv(path: str | Path) -> list[Document]:
     """Load a headered CSV with ``text`` and ``label`` columns, so private
     ticketing-style corpora run through the same harness.
     """
-    try:
-        with Path(path).open("r", encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            fields = [name.strip().lower() for name in reader.fieldnames or []]
-            if "text" not in fields or "label" not in fields:
-                raise SchemaError(
-                    f"{path}: generic CSV requires 'text' and 'label' header columns"
-                )
-            key_map = {name.strip().lower(): name for name in reader.fieldnames or []}
-            documents: list[Document] = []
-            for line, row in enumerate(reader, start=2):
-                text = (row.get(key_map["text"]) or "").strip()
-                label = (row.get(key_map["label"]) or "").strip()
-                if not text or not label:
-                    raise MalformedRowError(line, "empty text or label")
-                documents.append(
-                    Document(id=f"r{len(documents) + 1}", text=text, gold_label=label)
-                )
-            return documents
-    except OSError as err:
-        raise FileIOError(f"cannot read dataset {path}: {err}") from err
+    rows = _read_rows(path)
+    header = [name.strip().lower() for name in rows[0][1]] if rows else []
+    if "text" not in header or "label" not in header:
+        raise SchemaError(f"{path}: generic CSV requires 'text' and 'label' header columns")
+    documents: list[Document] = []
+    for line, row in rows[1:]:
+        # A repeated column name takes its last column, as in a dict.
+        cells = dict(zip(header, row))
+        text = cells.get("text", "").strip()
+        label = cells.get("label", "").strip()
+        if not text or not label:
+            raise MalformedRowError(line, "empty text or label")
+        documents.append(Document(id=f"r{len(documents) + 1}", text=text, gold_label=label))
+    return documents
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,9 @@ CONTRAST_BATCH_SIZE = 12
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """How to pick bootstrap samples from a category's documents."""
+    """How to pick bootstrap samples from a category's documents.
+    SamplingStrategy has the one member SEEDED_RANDOM.
+    """
 
     strategy: SamplingStrategy
     n: int
@@ -44,15 +46,12 @@ class SamplePlan:
 
 
 def sample_bootstrap(documents: Sequence[Document], plan: SamplePlan) -> list[Document]:
-    """Pick min(plan.n, len(documents)) documents, either the input prefix or
-    a seeded random draw without replacement. Deterministic given inputs.
+    """Pick min(plan.n, len(documents)) documents by a draw without
+    replacement seeded with plan.seed. Deterministic given inputs.
     """
     if not documents:
         raise NoDocumentsError("no documents to sample from")
-    k = min(plan.n, len(documents))
-    if plan.strategy is SamplingStrategy.FIRST_N:
-        return list(documents[:k])
-    return random.Random(plan.seed).sample(list(documents), k)
+    return random.Random(plan.seed).sample(list(documents), min(plan.n, len(documents)))
 
 
 def bootstrap_category(samples: Sequence[Document], backend: Backend) -> TopicDescriptor:

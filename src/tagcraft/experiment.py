@@ -145,9 +145,10 @@ def load_dataset(plan: ExperimentPlan) -> list[Document]:
 
 
 def load_plan(path: str | Path) -> tuple[ExperimentPlan, RefinementConfig]:
-    """Read a plan JSON file; an optional "refinement" object supplies
-    RefinementConfig fields (defaulting M and N from the plan). A key that
-    names no field is a SchemaError, at the top level as in "refinement".
+    """Read a plan JSON file; an optional "refinement" object supplies the
+    loop's RefinementConfig fields, while n_bootstrap, m_validate and seed
+    come from the plan alone. A key that names no field, or a "refinement"
+    key the plan owns, is a SchemaError.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -167,11 +168,13 @@ def load_plan(path: str | Path) -> tuple[ExperimentPlan, RefinementConfig]:
             unseen_labels=tuple(data.get("unseen_labels", ())),
             **{key: int(data[key]) for key in counts if key in data},
         )
-        refinement = dict(data.get("refinement", {}))
-        refinement.setdefault("n_bootstrap", plan.n_bootstrap)
-        refinement.setdefault("m_validate", plan.m_validate)
-        refinement.setdefault("seed", plan.seed)
-        config = RefinementConfig(**refinement)
+        refinement = data.get("refinement", {})
+        owned = sorted({"n_bootstrap", "m_validate", "seed"} & set(refinement))
+        if owned:
+            raise ValueError(f"refinement keys {', '.join(owned)} belong at the plan's top level")
+        config = RefinementConfig(
+            **refinement, n_bootstrap=plan.n_bootstrap, m_validate=plan.m_validate, seed=plan.seed
+        )
     except (KeyError, TypeError, ValueError) as err:
         raise SchemaError(f"invalid plan {path}: {err}") from err
     return plan, config

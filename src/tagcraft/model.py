@@ -56,7 +56,6 @@ class Provenance(str, enum.Enum):
 
 class SamplingStrategy(str, enum.Enum):
     SEEDED_RANDOM = "seeded_random"
-    FIRST_N = "first_n"
 
 
 @dataclass(frozen=True)

@@ -205,7 +205,7 @@ def refine_description(
 
 
 def mine_confusion_pairs(
-    matrix: ConfusionMatrix, min_count: int = 2, top_k: int = 3
+    matrix: ConfusionMatrix, min_count: int, top_k: int
 ) -> list[ConfusionPair]:
     """All off-diagonal cells with count >= min_count, sorted by descending
     count then (gold, predicted) name order, truncated to top_k.

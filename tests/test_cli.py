@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from helpers import class_vocab, keyword_documents, write_generic_csv, write_plan
 from tagcraft import Document, MockBackend, RefinementConfig, refine_loop
-from tagcraft.cli import main
+from tagcraft.cli import CliState, main
 from tagcraft.datasets import load_generic_csv
 from tagcraft.model import load_taxonomy
 
@@ -235,6 +235,52 @@ def test_removed_resample_flag_is_a_usage_error(runner, corpus_csv, tmp_path) ->
     )
     assert result.exit_code == 2
     assert "--resample" in result.output
+
+
+def test_removed_strategy_flag_is_a_usage_error(runner, corpus_csv, tmp_path) -> None:
+    result = runner.invoke(
+        main,
+        [
+            "bootstrap", "--dataset", str(corpus_csv), "--strategy", "first_n",
+            "--out", str(tmp_path / "tax.json"),
+        ],
+    )
+    assert result.exit_code == 2
+    assert "--strategy" in result.output
+    assert not (tmp_path / "tax.json").exists()
+
+
+@pytest.mark.parametrize(
+    "payload", ["[1]", '{"ClassA": 1}', "{oops"], ids=["list", "non-string-name", "not-json"]
+)
+@pytest.mark.parametrize("json_errors", [False, True], ids=["text", "json"])
+def test_label_map_must_map_labels_to_names(
+    runner, corpus_csv, tmp_path, monkeypatch, payload, json_errors
+) -> None:
+    out = _bootstrap(runner, corpus_csv, tmp_path)
+    label_map = tmp_path / "map.json"
+    label_map.write_text(payload, encoding="utf-8")
+
+    def no_backend(state):
+        raise AssertionError("a bad label map must fail before any backend call")
+
+    monkeypatch.setattr(CliState, "make_backend", no_backend)
+    result = runner.invoke(
+        main,
+        [
+            *(["--json-errors"] if json_errors else []),
+            "refine", "--taxonomy", str(out), "--validate", str(corpus_csv),
+            "--label-map", str(label_map), "--m", "10",
+        ],
+    )
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    line = result.output.strip().splitlines()[-1]
+    if json_errors:
+        assert str(label_map) in json.loads(line)["message"]
+    else:
+        assert line.startswith("error:") and str(label_map) in line
+    assert not (tmp_path / "tax.report.json").exists()
 
 
 def test_missing_taxonomy_file_is_operational_error(runner, tmp_path) -> None:

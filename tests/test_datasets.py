@@ -56,6 +56,14 @@ def test_missing_file_is_io_failure(tmp_path) -> None:
         load_agnews(tmp_path / "absent.csv")
 
 
+def test_agnews_error_names_the_line_the_row_is_on(tmp_path) -> None:
+    # The first row spans lines 1-2, so the bad row is on line 3.
+    path = _write(tmp_path, "ag.csv", '1,"a\nb",c\n9,x,y\n')
+    with pytest.raises(MalformedRowError) as exc:
+        load_agnews(path)
+    assert exc.value.line == 3
+
+
 # -- DBpedia ---------------------------------------------------------------------
 
 
@@ -106,6 +114,22 @@ def test_generic_csv_empty_cell_is_malformed(tmp_path) -> None:
     path = _write(tmp_path, "g.csv", "text,label\n,Greeting\n")
     with pytest.raises(MalformedRowError):
         load_generic_csv(path)
+
+
+def test_generic_csv_error_names_the_line_the_row_is_on(tmp_path) -> None:
+    path = _write(tmp_path, "g.csv", "text,label\n\nhello,A\n,B\n")
+    with pytest.raises(MalformedRowError) as exc:
+        load_generic_csv(path)
+    assert exc.value.line == 4
+
+
+def test_generic_csv_header_is_case_blind_and_extra_columns_are_ignored(tmp_path) -> None:
+    content = ' Label ,id,TEXT\n"Greeting",1,"hello,\nworld"\n\nFarewell,2,bye,extra\n'
+    docs = load_generic_csv(_write(tmp_path, "g.csv", content))
+    assert [(d.id, d.text, d.gold_label) for d in docs] == [
+        ("r1", "hello,\nworld", "Greeting"),
+        ("r2", "bye", "Farewell"),
+    ]
 
 
 # -- seen/unseen split ----------------------------------------------------------------

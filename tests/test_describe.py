@@ -25,16 +25,10 @@ def _docs(n: int, text: str = "login failed again") -> list[Document]:
 # -- sampling -------------------------------------------------------------------
 
 
-def test_first_n_takes_prefix() -> None:
-    docs = _docs(100)
-    plan = SamplePlan(SamplingStrategy.FIRST_N, 20)
-    assert sample_bootstrap(docs, plan) == docs[:20]
-
-
 def test_sample_clamps_to_available() -> None:
     docs = _docs(10)
-    plan = SamplePlan(SamplingStrategy.FIRST_N, 20)
-    assert sample_bootstrap(docs, plan) == docs
+    plan = SamplePlan(SamplingStrategy.SEEDED_RANDOM, 20)
+    assert sorted(sample_bootstrap(docs, plan), key=lambda d: int(d.id)) == docs
 
 
 def test_seeded_random_is_deterministic() -> None:
@@ -49,7 +43,7 @@ def test_seeded_random_is_deterministic() -> None:
 
 def test_sample_requires_documents() -> None:
     with pytest.raises(NoDocumentsError):
-        sample_bootstrap([], SamplePlan(SamplingStrategy.FIRST_N, 5))
+        sample_bootstrap([], SamplePlan(SamplingStrategy.SEEDED_RANDOM, 5))
 
 
 # -- bootstrap --------------------------------------------------------------------
@@ -93,7 +87,7 @@ def test_bootstrap_taxonomy_suffixes_colliding_names() -> None:
         Document(id="a", text="x", gold_label="L1"),
         Document(id="b", text="y", gold_label="L2"),
     ]
-    plan = SamplePlan(SamplingStrategy.FIRST_N, 1)
+    plan = SamplePlan(SamplingStrategy.SEEDED_RANDOM, 1)
     taxonomy, mapping = bootstrap_taxonomy(docs, ["L1", "L2"], plan, backend)
     assert taxonomy.names() == ("Clone", "Clone_2")
     assert mapping == {"L1": "Clone", "L2": "Clone_2"}
@@ -102,7 +96,7 @@ def test_bootstrap_taxonomy_suffixes_colliding_names() -> None:
 def test_bootstrap_taxonomy_missing_label_raises(mock_backend) -> None:
     with pytest.raises(NoDocumentsError):
         bootstrap_taxonomy(
-            _docs(3), ["Ghost"], SamplePlan(SamplingStrategy.FIRST_N, 1), mock_backend
+            _docs(3), ["Ghost"], SamplePlan(SamplingStrategy.SEEDED_RANDOM, 1), mock_backend
         )
 
 

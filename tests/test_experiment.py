@@ -219,6 +219,19 @@ def test_load_plan_rejects_the_removed_adapt_template_field(tmp_path, corpus_csv
             load_plan(plan_path)
 
 
+@pytest.mark.parametrize("key", ["n_bootstrap", "m_validate", "seed"])
+def test_load_plan_rejects_refinement_keys_the_plan_owns(tmp_path, corpus_csv, key) -> None:
+    plan_path = write_plan(
+        tmp_path / "plan.json",
+        corpus_csv,
+        seen=["ClassA", "ClassB"],
+        unseen=[],
+        refinement={key: 7},
+    )
+    with pytest.raises(SchemaError, match=f"refinement keys {key} belong at the plan's top level"):
+        load_plan(plan_path)
+
+
 def test_load_plan_rejects_unknown_top_level_keys(tmp_path, corpus_csv) -> None:
     plan_path = write_plan(tmp_path / "plan.json", corpus_csv, seen=["ClassA", "ClassB"], unseen=[])
     data = json.loads(plan_path.read_text(encoding="utf-8"))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import queue
 import socket
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import tagcraft
 from helpers import make_taxonomy
 from tagcraft import Document, PromptRequest, ScoringPath, classify_batch
+from tagcraft.backends import http as http_module
 from tagcraft.backends.base import NEG_SENTINEL
 from tagcraft.backends.http import (
     RETRY_AFTER_MAX_S,
@@ -84,13 +86,18 @@ def _completion(text: str, logprobs: list[dict] | None = None) -> dict:
     return {"choices": [choice]}
 
 
+@pytest.fixture(autouse=True)
+def _short_backoff(monkeypatch):
+    monkeypatch.setattr(http_module, "BACKOFF_BASE_S", 0.01)
+
+
 def _backend(base_url: str, **kwargs) -> HttpBackend:
-    kwargs.setdefault("backoff_base", 0.01)
     return HttpBackend(base_url=base_url, api_key="key", model="test-model", **kwargs)
 
 
-def test_unreachable_host_is_transport_failure() -> None:
-    backend = _backend("http://127.0.0.1:9", max_retries=0, timeout=0.5)
+def test_unreachable_host_is_transport_failure(monkeypatch) -> None:
+    monkeypatch.setattr(http_module, "MAX_RETRIES", 0)
+    backend = _backend("http://127.0.0.1:9", timeout=0.5)
     with pytest.raises(TransportError):
         backend.complete(PromptRequest(user_text="hello"))
 
@@ -101,32 +108,36 @@ def test_complete_returns_message_content(scripted_server) -> None:
     assert backend.complete(PromptRequest(user_text="hello")) == "All good."
 
 
-def test_rate_limited_retries_then_succeeds(scripted_server) -> None:
+def test_rate_limited_retries_then_succeeds(scripted_server, monkeypatch) -> None:
+    monkeypatch.setattr(http_module, "MAX_RETRIES", 3)
     base = scripted_server([(429, {}), (429, {}), (200, _completion("late reply"))])
-    backend = _backend(base, max_retries=3)
+    backend = _backend(base)
     assert backend.complete(PromptRequest(user_text="hello")) == "late reply"
     assert len(scripted_server.handlers[0].requests_seen) == 3
 
 
-def test_rate_limited_exhausts_retries(scripted_server) -> None:
+def test_rate_limited_exhausts_retries(scripted_server, monkeypatch) -> None:
+    monkeypatch.setattr(http_module, "MAX_RETRIES", 2)
     base = scripted_server([(429, {})])
-    backend = _backend(base, max_retries=2)
+    backend = _backend(base)
     with pytest.raises(RateLimitedError):
         backend.complete(PromptRequest(user_text="hello"))
     assert len(scripted_server.handlers[0].requests_seen) == 3  # 1 + 2 retries
 
 
-def test_backend_rejected_is_never_retried(scripted_server) -> None:
+def test_backend_rejected_is_never_retried(scripted_server, monkeypatch) -> None:
+    monkeypatch.setattr(http_module, "MAX_RETRIES", 3)
     base = scripted_server([(400, {"error": "bad request"})])
-    backend = _backend(base, max_retries=3)
+    backend = _backend(base)
     with pytest.raises(BackendRejectedError):
         backend.complete(PromptRequest(user_text="hello"))
     assert len(scripted_server.handlers[0].requests_seen) == 1
 
 
-def test_server_error_is_retried_as_transport(scripted_server) -> None:
+def test_server_error_is_retried_as_transport(scripted_server, monkeypatch) -> None:
+    monkeypatch.setattr(http_module, "MAX_RETRIES", 1)
     base = scripted_server([(500, {}), (200, _completion("recovered"))])
-    backend = _backend(base, max_retries=1)
+    backend = _backend(base)
     assert backend.complete(PromptRequest(user_text="hello")) == "recovered"
 
 
@@ -236,17 +247,22 @@ def test_missing_configuration_rejected(monkeypatch) -> None:
 @pytest.mark.parametrize(
     "setting",
     [
-        {"max_retries": -1},
         {"timeout": 0},
         {"timeout": -1.0},
-        {"backoff_base": -0.5},
-        {"top_logprobs": -1},
     ],
-    ids=["negative-retries", "zero-timeout", "negative-timeout", "negative-backoff", "negative-top-logprobs"],
+    ids=["zero-timeout", "negative-timeout"],
 )
 def test_bad_retry_settings_rejected_when_built(setting) -> None:
     with pytest.raises(ValueError, match=next(iter(setting))):
         HttpBackend(base_url="http://127.0.0.1:9", model="m", **setting)
+
+
+def test_constructor_takes_only_endpoint_settings() -> None:
+    # Retry count, backoff and logprob width are the module constants
+    # MAX_RETRIES, BACKOFF_BASE_S and TOP_LOGPROBS.
+    assert list(inspect.signature(HttpBackend).parameters) == [
+        "base_url", "api_key", "model", "timeout", "max_concurrency"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -312,11 +328,12 @@ class _CloseAfterReply(_KeepAlive):
         type(self).closed.put(None)
 
 
-def test_connection_closed_by_server_is_not_reused(scripted_server) -> None:
+def test_connection_closed_by_server_is_not_reused(scripted_server, monkeypatch) -> None:
+    monkeypatch.setattr(http_module, "MAX_RETRIES", 0)
     scripted_server([], base=_CloseAfterReply)
     handler = scripted_server.handlers[0]
     handler.closed = queue.Queue()
-    backend = _backend(f"http://127.0.0.1:{handler.server.server_port}", max_retries=0)
+    backend = _backend(f"http://127.0.0.1:{handler.server.server_port}")
     try:
         for n in range(3):
             assert backend.complete(PromptRequest(user_text=f"call {n}")) == f"call {n}"
@@ -326,9 +343,10 @@ def test_connection_closed_by_server_is_not_reused(scripted_server) -> None:
     assert len(handler.requests_seen) == 3
 
 
-def test_threads_never_share_a_connection(scripted_server) -> None:
+def test_threads_never_share_a_connection(scripted_server, monkeypatch) -> None:
+    monkeypatch.setattr(http_module, "MAX_RETRIES", 0)
     base = scripted_server([], base=_KeepAlive)
-    backend = _backend(base, max_retries=0, timeout=10)
+    backend = _backend(base, timeout=10)
     crossed: list[tuple[str, str]] = []
     errors: list[BaseException] = []
 
@@ -391,7 +409,8 @@ def test_retry_after_sets_the_wait(scripted_server, monkeypatch, status, retry_a
     base = scripted_server([(200, _completion("late reply"))], base=handler)
     sleeps: list[float] = []
     monkeypatch.setattr("tagcraft.backends.http.time.sleep", sleeps.append)
-    backend = _backend(base, max_retries=1)
+    monkeypatch.setattr(http_module, "MAX_RETRIES", 1)
+    backend = _backend(base)
     assert backend.complete(PromptRequest(user_text="hello")) == "late reply"
     assert sleeps == [expected]
 

@@ -221,7 +221,7 @@ def test_in_memory_logs_append_in_the_order_the_caller_picks() -> None:
 def test_bootstrap_completions_overlap() -> None:
     backend = BarrierBackend(MockBackend())
     docs = _labeled({"L1": "aqua1 aqua2 aqua3", "L2": "brick1 brick2 brick3"})
-    plan = SamplePlan(SamplingStrategy.FIRST_N, 1)
+    plan = SamplePlan(SamplingStrategy.SEEDED_RANDOM, 1)
     taxonomy, _ = bootstrap_taxonomy(docs, ["L1", "L2"], plan, backend)
     assert len(taxonomy) == 2
 
@@ -338,7 +338,7 @@ def test_collision_suffixes_follow_label_order_when_replies_arrive_reversed() ->
 
     backend = StubBackend(completions=[reply])
     docs = _labeled({"L1": "first sample", "L2": "second sample"})
-    plan = SamplePlan(SamplingStrategy.FIRST_N, 1)
+    plan = SamplePlan(SamplingStrategy.SEEDED_RANDOM, 1)
     taxonomy, mapping = bootstrap_taxonomy(docs, ["L1", "L2"], plan, backend)
     assert mapping == {"L1": "Clone", "L2": "Clone_2"}
     assert taxonomy.get("Clone").descriptor.topic_description == "from the first label."
