@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import abc
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,10 +84,20 @@ class Backend(abc.ABC):
 
 
 def check_candidates(candidates: Sequence[str]) -> list[str]:
-    """Validate a candidate list: non-empty, names unique case-insensitively."""
-    if not candidates:
+    """Validate a candidate list: non-empty, names unique case-insensitively.
+    Returns a new list on every call.
+    """
+    names = tuple(candidates)
+    _check_names(names)
+    return list(names)
+
+
+@functools.lru_cache(maxsize=16)
+def _check_names(names: tuple[str, ...]) -> None:
+    """check_candidates() for one tuple of names; a batch scores every
+    document against the same tuple, so it is checked once. A failed check
+    raises and is not cached."""
+    if not names:
         raise NoCandidatesError("score_labels requires at least one candidate")
-    keys = [name_key(c) for c in candidates]
-    if len(set(keys)) != len(keys):
+    if len({name_key(name) for name in names}) != len(names):
         raise ValueError("candidate names must be unique (case-insensitively)")
-    return list(candidates)

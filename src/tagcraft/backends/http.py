@@ -5,6 +5,7 @@ from __future__ import annotations
 import http.client
 import json
 import logging
+import math
 import os
 import select
 import ssl
@@ -76,8 +77,8 @@ class HttpBackend(Backend):
             raise ValueError(f"no base URL configured (set {ENV_BASE_URL})")
         if not self.model:
             raise ValueError(f"no model configured (set {ENV_MODEL})")
-        if timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {timeout}")
+        if not 0 < timeout < math.inf:
+            raise ValueError(f"timeout must be finite and > 0, got {timeout}")
         url = urllib.parse.urlsplit(self.base_url)
         # Credentials, a query or a fragment would be dropped from every request.
         extras = url.username is not None or url.query or url.fragment
@@ -252,12 +253,13 @@ def _retry_after_s(header: str | None) -> float | None:
     return min(seconds, RETRY_AFTER_MAX_S) if seconds >= 0 else None
 
 
-OptionTable = list[list[tuple[str, float]]]
+OptionTable = list[dict[str, list[tuple[str, float]]]]
 
 
 def _option_table(entries: list) -> OptionTable:
-    """Each position's valid ``(text, logprob)`` options: the generated token,
-    then its ``top_logprobs`` in order. Position-0 texts are left-stripped and
+    """Each position's valid ``(text, logprob)`` options, grouped by the first
+    character of their text: the generated token, then its ``top_logprobs``,
+    in that order inside each group. Position-0 texts are left-stripped and
     empty texts dropped; an entry or alternative that is not an object offers
     nothing.
     """
@@ -267,7 +269,7 @@ def _option_table(entries: list) -> OptionTable:
         alternatives = entry.get("top_logprobs") if items else None
         if isinstance(alternatives, list):
             items.extend(alternatives)
-        options = []
+        options: dict[str, list[tuple[str, float]]] = {}
         for item in items:
             if not isinstance(item, dict):
                 continue
@@ -276,17 +278,20 @@ def _option_table(entries: list) -> OptionTable:
                 continue
             text = token.lstrip() if position == 0 else token
             if text:
-                options.append((text, float(logprob)))
+                options.setdefault(text[0], []).append((text, float(logprob)))
         table.append(options)
     return table
 
 
 def _align_logprob(candidate: str, table: OptionTable) -> float | None:
-    """Length-normalized sum of token log-probabilities along the generated
-    token path that spells out ``candidate``, from one reply's option table.
-    At each position the option with the highest logprob that continues the
-    name wins (the first on a tie); it may overshoot the name's end (e.g.
+    """Score ``candidate`` against one reply's option table: at each position
+    take the option with the highest logprob that continues the name (the
+    first in entry order on a tie), and return the mean of those logprobs over
+    the positions used. The last option may overshoot the name's end (e.g.
     trailing punctuation). Returns None when the candidate cannot be realized.
+
+    An option continues the name only if it starts with the same character
+    as the rest of the name, so each position reads one group of the table.
     """
     remaining = candidate
     total = 0.0
@@ -296,7 +301,7 @@ def _align_logprob(candidate: str, table: OptionTable) -> float | None:
             break
         best: float | None = None
         cut = 0
-        for text, logprob in options:
+        for text, logprob in options.get(remaining[0], ()):
             if remaining.startswith(text):
                 consumed = len(text)
             elif text.startswith(remaining):

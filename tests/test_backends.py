@@ -52,6 +52,23 @@ def test_duplicate_candidates_rejected() -> None:
         check_candidates(["A", "a"])
 
 
+def test_candidate_check_repeats_its_verdict_on_every_call(mock_backend: MockBackend) -> None:
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            check_candidates(["A", "B", " a "])
+        with pytest.raises(NoCandidatesError):
+            check_candidates([])
+        with pytest.raises(NoCandidatesError):
+            mock_backend.score_labels(_request("text"), ())
+    names = ["Sports", "Business"]
+    assert check_candidates(names) == check_candidates(tuple(names)) == names
+    returned = check_candidates(names)
+    returned.append("Sports")
+    returned[0] = "World"
+    assert check_candidates(names) == names
+    assert check_candidates(names) is not check_candidates(names)
+
+
 def test_empty_user_text_fails_before_any_call() -> None:
     with pytest.raises(ValueError):
         PromptRequest(user_text="   ")

@@ -249,8 +249,10 @@ def test_missing_configuration_rejected(monkeypatch) -> None:
     [
         {"timeout": 0},
         {"timeout": -1.0},
+        {"timeout": float("nan")},
+        {"timeout": float("inf")},
     ],
-    ids=["zero-timeout", "negative-timeout"],
+    ids=["zero-timeout", "negative-timeout", "nan-timeout", "inf-timeout"],
 )
 def test_bad_retry_settings_rejected_when_built(setting) -> None:
     with pytest.raises(ValueError, match=next(iter(setting))):
@@ -564,6 +566,58 @@ def test_align_over_option_table_equals_reference(case) -> None:
     table = _option_table(entries)
     for name in names:
         assert _align_logprob(name, table) == _reference_align(name, entries)
+
+
+def _k50_reply() -> tuple[list[str], list[dict]]:
+    """50 names in ``X``/``X_2`` pairs and one reply over them. The options
+    tie and overshoot, a later position offers ``" b"`` to the two-word pair,
+    and no option starts with the ``Z`` of the last pair."""
+    stems = [f"{first}{second}" for first in "ABCDEFGH" for second in "aei"][:23]
+    stems += ["Net b", "Zulu"]
+    names = [name for stem in stems for name in (stem, f"{stem}_2")]
+    logprobs = [-0.25, -0.5, -1.0, -2.0]
+    first = [(f" {stem}", logprobs[i % 4]) for i, stem in enumerate(stems[:10])]
+    first += [(stem[0], -0.5) for stem in stems[10:20]] + [(" Net", -0.25)]
+    entries = [
+        _entry(" Net", -0.25, first[:20]),
+        _entry(" b", -0.5, [(" b", -0.5), ("_", -1.0), ("_2", -1.0), ("e", -0.25), ("i_2", -2.0), (".", -0.5)]),
+        _entry("_", -0.25, [("_", -0.25), ("_2.", -0.25), ("2", -1.0), ("_3", -0.5)]),
+        _entry("2", -0.5, [("2", -0.5), ("2.", -1.0), (".", -2.0)]),
+    ]
+    return names, entries
+
+
+def test_score_labels_at_k50_equals_reference_exactly(scripted_server) -> None:
+    names, entries = _k50_reply()
+    base = scripted_server([(200, _completion("Net b_2", entries))])
+    scores = _backend(base).score_labels(PromptRequest(user_text="doc"), names)
+    assert scores.path is ScoringPath.LOG_PROB
+    expected = {}
+    for name in names:
+        reference = _reference_align(name, entries)
+        expected[name] = NEG_SENTINEL if reference is None else reference
+    assert scores.scores == expected
+    # The reply exercises both outcomes, the later-position space and the
+    # first character no option shares.
+    assert scores.scores["Net b_2"] == (-0.25 - 0.5 - 0.25 - 0.5) / 4
+    assert scores.scores["Zulu"] == scores.scores["Zulu_2"] == NEG_SENTINEL
+    assert 10 < sum(score != NEG_SENTINEL for score in expected.values()) < 50
+
+
+def test_score_labels_aligns_each_candidate_once(scripted_server, monkeypatch) -> None:
+    # A traced benchmark run times alignment by wrapping this module-level name.
+    calls: list[str] = []
+
+    def counting(candidate, table):
+        calls.append(candidate)
+        return _align_logprob(candidate, table)
+
+    monkeypatch.setattr(http_module, "_align_logprob", counting)
+    names, entries = _k50_reply()
+    base = scripted_server([(200, _completion("Net b_2", entries))])
+    scores = _backend(base).score_labels(PromptRequest(user_text="doc"), names)
+    assert scores.path is ScoringPath.LOG_PROB
+    assert calls == names
 
 
 def test_fallback_ambiguous_mentions_raise() -> None:
