@@ -39,8 +39,9 @@ class PromptRequest:
 class ScoreMap:
     """One finite score per requested candidate; higher means more likely.
 
-    ``detail`` records the fallback match method ("exact"/"substring") when
-    scoring went through a plain completion.
+    ``detail`` records the fallback match method when scoring went through
+    a plain completion: "exact" (the whole reply) or "substring" (one name
+    mentioned on word boundaries).
     """
 
     scores: dict[str, float]

@@ -7,6 +7,7 @@ import json
 import logging
 import math
 import os
+import re
 import select
 import ssl
 import threading
@@ -323,19 +324,43 @@ def _align_logprob(candidate: str, table: OptionTable) -> float | None:
 def _fallback_scores(text: str, names: list[str]) -> ScoreMap:
     """Score by matching the completion text against candidate names: the
     matched candidate gets 0.0, all others the negative sentinel.
+
+    First the whole completion must equal one name up to normalization,
+    after dropping trailing whitespace and punctuation one character at a
+    time ("X_2." names X_2, "C++." still names C++). Otherwise a name counts
+    as mentioned where it stands between non-alphanumeric characters (so
+    "art" is not mentioned in "party"); names are tried longest first, and a
+    mention inside a longer name's mention is dropped ("X_2" does not also
+    mention X). Exactly one mentioned name wins.
     """
     if not text or not text.strip():
         raise FallbackParseError("completion was empty; cannot match a candidate")
+    by_key = {name_key(n): n for n in names}
+    stem = text.strip()
+    while stem:
+        winner = by_key.get(name_key(stem))
+        if winner is not None:
+            return _fallback_map(names, winner, "exact")
+        if stem[-1].isalnum():
+            break
+        stem = stem[:-1].rstrip()
     completion_key = name_key(text)
-    exact = [n for n in names if name_key(n) == completion_key]
-    if len(exact) == 1:
-        return _fallback_map(names, exact[0], "exact")
-    contained = [n for n in names if name_key(n) in completion_key]
-    if len(contained) == 1:
-        return _fallback_map(names, contained[0], "substring")
-    if len(contained) > 1:
+    taken: list[tuple[int, int]] = []
+    mentioned = []
+    for key in sorted(by_key, key=len, reverse=True):
+        spans = [
+            match.span()
+            for match in re.finditer(rf"(?<![^\W_]){re.escape(key)}(?![^\W_])", completion_key)
+            if not any(start <= match.start() and match.end() <= end for start, end in taken)
+        ]
+        if spans:
+            mentioned.append(by_key[key])
+            taken.extend(spans)
+    if len(mentioned) == 1:
+        return _fallback_map(names, mentioned[0], "substring")
+    if mentioned:
         raise FallbackParseError(
-            f"completion mentioned {len(contained)} candidates; cannot disambiguate"
+            f"completion mentioned {len(mentioned)} candidates; cannot disambiguate"
         )
     raise FallbackParseError("completion matched no candidate name")
 

@@ -184,7 +184,12 @@ def bootstrap(state: CliState, dataset_path, fmt, labels, n_samples, out_path, m
 @click.pass_obj
 @_guarded
 def contrast(state: CliState, taxonomy_path, out_path):
-    """Rewrite all descriptions to emphasize between-category contrast."""
+    """Rewrite all descriptions to emphasize between-category contrast.
+
+    Each category is contrasted from its base description, its latest
+    bootstrap, refine, adapt or user-written text, so re-running this
+    replaces the earlier contrast text instead of adding to it.
+    """
     taxonomy = load_taxonomy(taxonomy_path)
     backend = state.make_backend()
     result = contrast_taxonomy(taxonomy, backend)

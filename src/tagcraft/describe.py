@@ -112,11 +112,16 @@ def bootstrap_taxonomy(
 
 def contrast_taxonomy(taxonomy: Taxonomy, backend: Backend) -> Taxonomy:
     """Rewrite every description so that each category states how it differs
-    from the others. Category names, count, and order never change; replies
-    naming unknown categories are ignored; categories missing from the reply
-    keep their current description. Categories go CONTRAST_BATCH_SIZE to a
-    prompt; batches are requested concurrently and merged in batch order, so
-    the first reply naming a category wins.
+    from the others. The prompt carries each category's base description
+    (``Category.base_descriptor``: its latest bootstrap, refine, adapt or
+    user-written text), never an earlier contrast's output, so re-running
+    contrast replaces the earlier contrast text instead of stacking on it.
+    Category names, count, and order never change; replies naming unknown
+    categories are ignored; categories missing from the reply keep their
+    current description. Every matched category gains one CONTRAST history
+    entry. Categories go CONTRAST_BATCH_SIZE to a prompt; batches are
+    requested concurrently and merged in batch order, so the first reply
+    naming a category wins.
 
     Raises:
         ValueError: fewer than two categories.
@@ -130,7 +135,7 @@ def contrast_taxonomy(taxonomy: Taxonomy, backend: Backend) -> Taxonomy:
     requests = []
     for start in range(0, len(categories), CONTRAST_BATCH_SIZE):
         batch = categories[start : start + CONTRAST_BATCH_SIZE]
-        block = "\n\n".join(descriptor_to_json(c.descriptor) for c in batch)
+        block = "\n\n".join(descriptor_to_json(c.base_descriptor) for c in batch)
         binding = f"All categories: {name_list}\n\n{block}"
         requests.append(render(TemplateId.CONTRAST, {"category": binding}))
     replies = ordered_map(

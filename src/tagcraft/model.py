@@ -114,6 +114,16 @@ class Category:
     def descriptor(self) -> TopicDescriptor:
         return self.history[-1].descriptor
 
+    @property
+    def base_descriptor(self) -> TopicDescriptor:
+        """The latest descriptor not written by a contrast pass (bootstrap,
+        refine, adapt or user text), or the oldest one when every entry is a
+        contrast. Contrast rewrites this, so passes never stack."""
+        for entry in reversed(self.history):
+            if entry.stage is not Stage.CONTRAST:
+                return entry.descriptor
+        return self.history[0].descriptor
+
     def with_descriptor(self, descriptor: TopicDescriptor, stage: Stage, iteration: int) -> "Category":
         """Return a copy with ``descriptor`` appended as the current version.
 

@@ -1,6 +1,8 @@
 """Human-in-the-loop topic management: add or revise categories described in
 rough natural language, without touching the rest of the taxonomy beyond an
-optional contrast pass.
+optional contrast pass. That pass contrasts every category from its base
+description (its latest non-contrast text), so each add replaces the earlier
+contrast text instead of stacking on it.
 """
 
 from __future__ import annotations
@@ -69,6 +71,9 @@ def add_topic(
     """Integrate a user-authored category: enrich the rough description,
     append it with UserDefined provenance, and (by default) run a contrast
     pass so existing descriptions can state exclusions against the newcomer.
+    The pass rewrites each category's base description (see
+    contrast_taxonomy), so a description holds one contrast's worth of text
+    however many topics have been added.
 
     With run_contrast=False nothing changes except the one appended category.
     The enrichment is one completion; the contrast batches run concurrently

@@ -26,8 +26,20 @@ from tagcraft.backends.base import (
     ScoringPath,
     check_candidates,
 )
+from tagcraft.extraction import extract_descriptor_set
 
 CANNED_DESCRIPTOR = '{"topic_name": "Scripted", "topic_description": "scripted update"}'
+
+
+def echo_contrast(request: PromptRequest) -> str:
+    """A contrast reply that re-emits every descriptor in the prompt with
+    " contrasted." appended."""
+    return json.dumps(
+        [
+            {"topic_name": d.topic_name, "topic_description": d.topic_description + " contrasted."}
+            for d in extract_descriptor_set(request.user_text)
+        ]
+    )
 
 
 class StubBackend(Backend):

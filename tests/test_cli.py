@@ -68,6 +68,20 @@ def test_contrast_command_rewrites_in_place(runner, corpus_csv, tmp_path) -> Non
     assert all(len(c.history) == 2 for c in after.categories)
 
 
+def test_contrast_command_rerun_replaces_earlier_contrast(runner, corpus_csv, tmp_path) -> None:
+    out = _bootstrap(runner, corpus_csv, tmp_path)
+    once = tmp_path / "once.json"
+    twice = tmp_path / "twice.json"
+    for source, target in ((out, once), (once, twice)):
+        result = runner.invoke(
+            main, ["--backend", "mock", "contrast", "--taxonomy", str(source), "--out", str(target)]
+        )
+        assert result.exit_code == 0, result.output
+    first, second = load_taxonomy(once), load_taxonomy(twice)
+    assert [c.descriptor for c in second.categories] == [c.descriptor for c in first.categories]
+    assert all(len(c.history) == 3 for c in second.categories)
+
+
 def test_refine_command_reports_threshold_met(runner, corpus_csv, tmp_path) -> None:
     out = _bootstrap(runner, corpus_csv, tmp_path)
     result = runner.invoke(

@@ -4,16 +4,18 @@ import json
 
 import pytest
 
-from helpers import StubBackend, class_vocab, keyword_documents, make_taxonomy
+from helpers import StubBackend, class_vocab, echo_contrast, keyword_documents, make_taxonomy
 from tagcraft import (
     Document,
     SamplePlan,
     SamplingStrategy,
     Stage,
+    TopicDescriptor,
     bootstrap_category,
     bootstrap_taxonomy,
     contrast_taxonomy,
     sample_bootstrap,
+    taxonomy_upsert,
 )
 from tagcraft.errors import ContrastDroppedAllError, DescriptorParseError, NoDocumentsError
 
@@ -179,3 +181,68 @@ def test_contrast_batches_large_taxonomies() -> None:
     for category in result.categories:
         assert category.descriptor.topic_description.endswith(" v2")
         assert len(category.history) == 2
+
+
+def test_contrast_twice_leaves_the_descriptions_of_one_pass(mock_backend) -> None:
+    taxonomy = make_taxonomy(
+        [("Alpha", "Covers aqua1, aqua2."), ("Beta", "Covers brick1."), ("Gamma", "Covers cedar1.")]
+    )
+    once = contrast_taxonomy(taxonomy, mock_backend)
+    twice = contrast_taxonomy(once, mock_backend)
+    assert [c.descriptor for c in twice.categories] == [c.descriptor for c in once.categories]
+    for category in twice.categories:
+        assert [entry.stage for entry in category.history] == [
+            Stage.BOOTSTRAP,
+            Stage.CONTRAST,
+            Stage.CONTRAST,
+        ]
+        assert category.descriptor.topic_description.count("This is different from") == 1
+
+
+def test_contrast_prompt_holds_bootstrap_text_not_earlier_contrast_text() -> None:
+    taxonomy = make_taxonomy([("Alpha", "alpha from bootstrap."), ("Beta", "beta from bootstrap.")])
+    taxonomy = taxonomy_upsert(
+        taxonomy, TopicDescriptor("Alpha", "alpha from contrast."), Stage.CONTRAST, 0
+    )
+    backend = StubBackend(completions=[echo_contrast])
+    result = contrast_taxonomy(taxonomy, backend)
+    (prompt,) = backend.prompts
+    assert "alpha from bootstrap." in prompt
+    assert "alpha from contrast." not in prompt
+    alpha = result.get("Alpha")
+    assert alpha.descriptor.topic_description == "alpha from bootstrap. contrasted."
+    assert [entry.stage for entry in alpha.history] == [
+        Stage.BOOTSTRAP,
+        Stage.CONTRAST,
+        Stage.CONTRAST,
+    ]
+
+
+@pytest.mark.parametrize("stage", [Stage.REFINE, Stage.ADAPT, Stage.HITL])
+def test_contrast_prompt_holds_latest_non_contrast_text(stage) -> None:
+    taxonomy = make_taxonomy([("Alpha", "alpha from bootstrap."), ("Beta", "beta from bootstrap.")])
+    for description, entry_stage in [
+        ("alpha from first contrast.", Stage.CONTRAST),
+        (f"alpha from {stage.value}.", stage),
+        ("alpha from second contrast.", Stage.CONTRAST),
+    ]:
+        taxonomy = taxonomy_upsert(taxonomy, TopicDescriptor("Alpha", description), entry_stage, 1)
+    backend = StubBackend(completions=[echo_contrast])
+    contrast_taxonomy(taxonomy, backend)
+    (prompt,) = backend.prompts
+    assert f"alpha from {stage.value}." in prompt
+    for stale in ("alpha from bootstrap.", "alpha from first contrast.", "alpha from second contrast."):
+        assert stale not in prompt
+
+
+def test_contrast_prompt_of_contrast_only_history_holds_oldest_entry() -> None:
+    # A hand-edited taxonomy file may hold only contrast entries.
+    taxonomy = make_taxonomy(
+        [("Alpha", "alpha oldest."), ("Beta", "beta oldest.")], stage=Stage.CONTRAST
+    )
+    taxonomy = taxonomy_upsert(taxonomy, TopicDescriptor("Alpha", "alpha newest."), Stage.CONTRAST, 0)
+    backend = StubBackend(completions=[echo_contrast])
+    contrast_taxonomy(taxonomy, backend)
+    (prompt,) = backend.prompts
+    assert "alpha oldest." in prompt
+    assert "alpha newest." not in prompt

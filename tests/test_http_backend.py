@@ -625,6 +625,37 @@ def test_fallback_ambiguous_mentions_raise() -> None:
         _fallback_scores("Sports or Business", ["Sports", "Business"])
 
 
+@pytest.mark.parametrize(
+    ("completion", "names", "winner"),
+    [
+        ("X_2.", ["X", "X_2"], "X_2"),
+        ("Business_News.", ["Business", "Business_News"], "Business_News"),
+        ("Sports.", ["Sport", "Sports"], "Sports"),
+        ("Sport.", ["Sport", "Sports"], "Sport"),
+        ("C++.", ["C", "C++"], "C++"),
+        ("Party.", ["Art", "Party"], "Party"),
+        ("Category: Party", ["Art", "Party"], "Party"),
+        ("I would say X_2 here", ["X", "X_2"], "X_2"),
+    ],
+)
+def test_fallback_names_the_answer_among_prefix_sharing_names(completion, names, winner) -> None:
+    scores = _fallback_scores(completion, names)
+    assert scores.scores == {n: (0.0 if n == winner else NEG_SENTINEL) for n in names}
+
+
+@pytest.mark.parametrize(
+    ("completion", "names"),
+    [
+        ("Art or Party", ["Art", "Party"]),
+        ("Businesses", ["Business", "Sports"]),
+        ("...", ["Art", "Party"]),
+    ],
+)
+def test_fallback_rejects_two_mentions_or_none(completion, names) -> None:
+    with pytest.raises(FallbackParseError):
+        _fallback_scores(completion, names)
+
+
 def test_fallback_matches_up_to_normalization() -> None:
     scores = _fallback_scores("  sci/TECH \n", ["World", "Sci/Tech"])
     assert scores.scores["Sci/Tech"] == 0.0

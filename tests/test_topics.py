@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import StubBackend, make_taxonomy
+from helpers import StubBackend, echo_contrast, make_taxonomy
 from tagcraft import (
     Document,
     Provenance,
@@ -11,6 +11,7 @@ from tagcraft import (
     add_topic,
     classify,
     revise_topic,
+    taxonomy_upsert,
 )
 from tagcraft.errors import DuplicateNameError, UnknownCategoryError
 
@@ -129,3 +130,47 @@ def test_no_operation_deletes_categories_or_history(mock_backend) -> None:
         after = result.get(before.name)
         assert after is not None
         assert after.history[: len(before.history)] == before.history
+
+
+def test_revise_with_contrast_sends_revised_and_base_texts() -> None:
+    taxonomy = make_taxonomy(
+        [("Network_Connectivity", "network from bootstrap."), ("Printer_Issues", "printer from bootstrap.")]
+    )
+    for name in taxonomy.names():
+        taxonomy = taxonomy_upsert(
+            taxonomy, TopicDescriptor(name, f"{name} from contrast."), Stage.CONTRAST, 0
+        )
+    enriched = '{"topic_name": "Printer_Issues", "topic_description": "printer as revised."}'
+    backend = StubBackend(completions=[enriched, echo_contrast])
+    result = revise_topic(
+        "Printer_Issues", "plotters too", taxonomy, backend, run_contrast=True
+    )
+    contrast_prompt = backend.prompts[-1]
+    assert "printer as revised." in contrast_prompt
+    assert "network from bootstrap." in contrast_prompt
+    assert "from contrast." not in contrast_prompt
+    printer = result.get("Printer_Issues")
+    assert printer.descriptor.topic_description == "printer as revised. contrasted."
+    assert [entry.stage for entry in printer.history] == [
+        Stage.BOOTSTRAP,
+        Stage.CONTRAST,
+        Stage.HITL,
+        Stage.CONTRAST,
+    ]
+
+
+def test_successive_adds_leave_one_contrast_sentence_per_description(mock_backend) -> None:
+    taxonomy = make_taxonomy(
+        [
+            ("Network_Connectivity", "Covers outages, drops."),
+            ("Printer_Issues", "Covers jams, toner."),
+            ("Login_Problems", "Covers passwords, lockouts."),
+            ("Email_Delivery", "Covers bounces, spam."),
+        ]
+    )
+    for i in range(10):
+        rough = TopicDescriptor(f"New_Topic_{i}", f"rough notes on subject{i} and theme{i}")
+        taxonomy = add_topic(rough, taxonomy, mock_backend)
+    assert len(taxonomy) == 14
+    for category in taxonomy.categories:
+        assert category.descriptor.topic_description.count("This is different from") == 1
