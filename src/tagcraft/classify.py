@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .backends.base import Backend, ScoreMap
 from .errors import ClassificationError, EmptyTaxonomyError, FallbackParseError, PromptBudgetError
 from .fanout import ordered_map
-from .model import Document, Taxonomy
+from .model import ConfusionMatrix, Document, Taxonomy, name_key
 from .prompts import TemplateId, render
 
 # Classification prompts are never truncated; past this budget they fail loudly.
@@ -32,6 +32,17 @@ class ClassificationFailure:
 
 
 BatchItem = Union[ClassificationResult, ClassificationFailure]
+
+
+@dataclass(frozen=True)
+class LabeledResult:
+    """One labeled document's outcome: ``predicted`` is read back into the
+    gold label's space, or None when ``item`` is a ClassificationFailure."""
+
+    gold: str
+    document: Document
+    predicted: str | None
+    item: BatchItem
 
 
 def descriptor_block(taxonomy: Taxonomy) -> str:
@@ -102,3 +113,25 @@ def classify_batch(
             return ClassificationFailure(document.id, str(err), err)
 
     return ordered_map(one, documents, backend.capabilities().max_concurrency)
+
+
+def classify_labeled(
+    labeled: Sequence[tuple[str, Document]],
+    taxonomy: Taxonomy,
+    backend: Backend,
+    label_names: Mapping[str, str] | None = None,
+) -> tuple[list[LabeledResult], ConfusionMatrix]:
+    """Classify (gold, document) pairs with classify_batch; return one record
+    per document, in input order, and the confusion matrix of those that did
+    not fail. ``label_names`` (label -> category name) reads each prediction
+    back to its label; a name no label maps to stays as it is."""
+    label_of = {name_key(name): label for label, name in (label_names or {}).items()}
+    items = classify_batch([document for _, document in labeled], taxonomy, backend)
+    records, matrix = [], ConfusionMatrix()
+    for (gold, document), item in zip(labeled, items):
+        predicted = None
+        if isinstance(item, ClassificationResult):
+            predicted = label_of.get(name_key(item.predicted), item.predicted)
+            matrix.record(gold, predicted)
+        records.append(LabeledResult(gold, document, predicted, item))
+    return records, matrix

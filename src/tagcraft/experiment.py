@@ -1,10 +1,12 @@
 """Seen/unseen experiment protocol: bootstrap, contrast, refine, evaluate,
 introduce the unseen classes, evaluate again, and report the accuracy shift.
 
-All reports are expressed in the dataset's own label space. Generated
-category names replace the source labels internally (documents are
-relabeled for validation), and predictions are translated back through the
-label mapping before any metric is computed.
+Validation and both test phases classify labeled documents along one path,
+``classify.classify_labeled``. Generated category names replace the source
+labels internally (documents are relabeled for validation); test predictions
+are read back through the label mapping, so every report is in the dataset's
+own label space. A test document that fails to classify only counts in
+``n_failed``, where a validation failure aborts the refinement loop.
 """
 
 from __future__ import annotations
@@ -14,14 +16,12 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
 
 from .backends.base import Backend
-from .classify import ClassificationFailure, classify_batch
+from .classify import classify_labeled
 from .datasets import (
     AGNEWS_LABELS,
     DBPEDIA_LABELS,
-    SplitSet,
     load_agnews,
     load_dbpedia,
     load_generic_csv,
@@ -37,7 +37,7 @@ from .model import (
     SamplingStrategy,
     Taxonomy,
     TopicDescriptor,
-    name_key,
+    require_int,
     save_taxonomy,
 )
 from .refine import RefinementReport, refine_loop
@@ -166,7 +166,7 @@ def load_plan(path: str | Path) -> tuple[ExperimentPlan, RefinementConfig]:
             data_path=data["data_path"],
             seen_labels=tuple(data["seen_labels"]),
             unseen_labels=tuple(data.get("unseen_labels", ())),
-            **{key: int(data[key]) for key in counts if key in data},
+            **{key: require_int(key, data[key]) for key in counts if key in data},
         )
         refinement = data.get("refinement", {})
         owned = sorted({"n_bootstrap", "m_validate", "seed"} & set(refinement))
@@ -233,15 +233,8 @@ def run_experiment(
     taxonomy, refinement = refine_loop(taxonomy, validation, config, backend, log=log)
     checkpoint(taxonomy)
 
-    predictions: list[PredictionRecord] = []
-    phase1 = _evaluate(
-        taxonomy,
-        _test_docs(split, plan.seen_labels, seen=True),
-        label_names,
-        EvalPhase.SEEN_ONLY,
-        backend,
-        predictions,
-    )
+    seen_test = [(label, doc) for label in plan.seen_labels for doc in split.seen_test[label]]
+    phase1, predictions = _evaluate(taxonomy, seen_test, label_names, EvalPhase.SEEN_ONLY, backend)
 
     for label in plan.unseen_labels:
         rough = TopicDescriptor(label, f"Documents about {label}.")
@@ -255,24 +248,14 @@ def run_experiment(
         label_names[label] = rough.topic_name
         checkpoint(taxonomy)
 
-    phase2_docs = _test_docs(split, plan.seen_labels, seen=True) + _test_docs(
-        split, plan.unseen_labels, seen=False
-    )
-    phase2 = _evaluate(
-        taxonomy,
-        phase2_docs,
-        label_names,
-        EvalPhase.AFTER_UNSEEN,
-        backend,
-        predictions,
+    unseen_test = [(label, doc) for label in plan.unseen_labels for doc in split.unseen_test[label]]
+    phase2, phase2_predictions = _evaluate(
+        taxonomy, seen_test + unseen_test, label_names, EvalPhase.AFTER_UNSEEN, backend
     )
 
-    seen_set = set(plan.seen_labels)
-    phase2_seen = [p for p in predictions if p.phase is EvalPhase.AFTER_UNSEEN and p.gold in seen_set]
-    if phase2_seen:
-        seen_accuracy = sum(p.gold == p.predicted for p in phase2_seen) / len(phase2_seen)
-    else:
-        seen_accuracy = phase1.overall_accuracy
+    seen = {cell: n for cell, n in phase2.matrix.counts.items() if cell[0] in plan.seen_labels}
+    hits = sum(n for (gold, predicted), n in seen.items() if gold == predicted)
+    seen_accuracy = hits / sum(seen.values()) if seen else phase1.overall_accuracy
     return ExperimentResult(
         plan=plan,
         config=config,
@@ -282,13 +265,8 @@ def run_experiment(
         phase2=phase2,
         refinement=refinement,
         accuracy_shift=seen_accuracy - phase1.overall_accuracy,
-        predictions=predictions,
+        predictions=predictions + phase2_predictions,
     )
-
-
-def _test_docs(split: SplitSet, labels: Sequence[str], *, seen: bool) -> list[tuple[str, Document]]:
-    bucket = split.seen_test if seen else split.unseen_test
-    return [(label, doc) for label in labels for doc in bucket.get(label, ())]
 
 
 def _evaluate(
@@ -297,35 +275,22 @@ def _evaluate(
     label_names: dict[str, str],
     phase: EvalPhase,
     backend: Backend,
-    predictions: list[PredictionRecord],
-) -> EvalReport:
-    inverse = {name_key(name): label for label, name in label_names.items()}
-    matrix = ConfusionMatrix()
-    n_failed = 0
-    documents = [doc for _, doc in labeled_docs]
-    results = classify_batch(documents, taxonomy, backend)
-    for (label, document), result in zip(labeled_docs, results):
-        if isinstance(result, ClassificationFailure):
-            n_failed += 1
-            continue
-        predicted_label = inverse.get(name_key(result.predicted), result.predicted)
-        matrix.record(label, predicted_label)
-        predictions.append(
-            PredictionRecord(
-                document_id=document.id,
-                gold=label,
-                predicted=predicted_label,
-                phase=phase,
-            )
-        )
-    return EvalReport(
+) -> tuple[EvalReport, list[PredictionRecord]]:
+    """Score one test phase; a failed document is left out of all but n_failed."""
+    records, matrix = classify_labeled(labeled_docs, taxonomy, backend, label_names)
+    report = EvalReport(
         phase=phase,
         overall_accuracy=matrix.overall_accuracy(),
         per_class_accuracy=matrix.per_category_accuracy(),
         matrix=matrix,
         n_documents=matrix.total,
-        n_failed=n_failed,
+        n_failed=len(records) - matrix.total,
     )
+    predictions = [
+        PredictionRecord(r.document.id, r.gold, r.predicted, phase)
+        for r in records if r.predicted is not None
+    ]
+    return report, predictions
 
 
 def _matrix_to_dict(matrix: ConfusionMatrix) -> dict:

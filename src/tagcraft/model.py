@@ -220,21 +220,26 @@ class ConfusionMatrix:
         self.counts[(gold, predicted)] = self.counts.get((gold, predicted), 0) + n
         self.total += n
 
-    def count(self, gold: str, predicted: str) -> int:
-        return self.counts.get((gold, predicted), 0)
-
-    def gold_total(self, gold: str) -> int:
-        return sum(n for (g, _), n in self.counts.items() if g == gold)
-
     def per_category_accuracy(self) -> dict[str, float]:
-        golds = sorted({g for (g, _) in self.counts})
-        return {g: self.count(g, g) / self.gold_total(g) for g in golds}
+        hits: dict[str, int] = {}
+        totals: dict[str, int] = {}
+        for (gold, predicted), n in self.counts.items():
+            hits[gold] = hits.get(gold, 0) + (n if gold == predicted else 0)
+            totals[gold] = totals.get(gold, 0) + n
+        return {gold: hits[gold] / totals[gold] for gold in sorted(totals)}
 
     def overall_accuracy(self) -> float:
         if self.total == 0:
             return 0.0
         diagonal = sum(n for (g, p), n in self.counts.items() if g == p)
         return diagonal / self.total
+
+
+def require_int(key: str, value: object) -> int:
+    """``value`` if it is an int and not a bool, else a TypeError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -250,6 +255,12 @@ class RefinementConfig:
     top_k_pairs: int = 3
 
     def __post_init__(self) -> None:
+        for key in ("n_bootstrap", "m_validate", "max_iterations", "seed", "min_confusion_count",
+                    "top_k_pairs"):
+            require_int(key, getattr(self, key))
+        threshold = self.accuracy_threshold
+        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+            raise TypeError(f"accuracy_threshold must be a number, got {threshold!r}")
         if self.n_bootstrap < 1 or self.m_validate < 1:
             raise ValueError("sample counts must be positive")
         if not 0.0 < self.accuracy_threshold <= 1.0:

@@ -21,7 +21,7 @@ from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from .backends.base import Backend
-from .classify import ClassificationFailure, classify_batch
+from .classify import LabeledResult, classify_labeled
 from .errors import (
     MissingSamplesError,
     RefinementAbortedError,
@@ -49,12 +49,21 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class ValidationOutcome:
-    """Everything one validation pass learned about the current taxonomy."""
+    """One validation pass: a record per document, gold and prediction both
+    category names, and their confusion matrix."""
 
+    records: list[LabeledResult]
     matrix: ConfusionMatrix
-    per_category_accuracy: dict[str, float]
-    misclassified: dict[str, list[tuple[Document, str]]]
-    correct: dict[str, list[Document]]
+
+    def samples(
+        self, gold: str, predicted: str | None = None
+    ) -> tuple[list[Document], list[Document]]:
+        """The documents of category ``gold`` classified right, and those
+        classified wrong (as ``predicted`` only, if given), in validation order."""
+        own = [r for r in self.records if r.gold == gold]
+        right = [r.document for r in own if r.predicted == gold]
+        missed = [r for r in own if r.predicted != gold]
+        return right, [r.document for r in missed if predicted in (None, r.predicted)]
 
 
 @dataclass(frozen=True)
@@ -95,46 +104,31 @@ def validate_category_set(
     validation_docs: Sequence[Document],
     backend: Backend,
 ) -> ValidationOutcome:
-    """Classify every validation document against the taxonomy snapshot and
-    aggregate the confusion matrix, per-category accuracies, and the
-    correct / misclassified sample lists keyed by gold category.
+    """Classify every validation document against the taxonomy snapshot,
+    its gold label read as the category it names case-insensitively.
 
     Categories with no validation documents are reported via a warning, not
-    an error. Backend failures propagate.
+    an error. The first document that fails to classify raises its error.
     """
     canonical = {name_key(name): name for name in taxonomy.names()}
-    golds: list[str] = []
+    labeled: list[tuple[str, Document]] = []
     for document in validation_docs:
-        if document.gold_label is None:
-            raise UnknownGoldLabelError(document.id, None)
-        key = name_key(document.gold_label)
-        if key not in canonical:
-            raise UnknownGoldLabelError(document.id, document.gold_label)
-        golds.append(canonical[key])
+        label = document.gold_label
+        gold = canonical.get(name_key(label)) if label and label.strip() else None
+        if gold is None:
+            raise UnknownGoldLabelError(document.id, label)
+        labeled.append((gold, document))
 
-    covered = set(golds)
+    covered = {gold for gold, _ in labeled}
     for name in taxonomy.names():
         if name not in covered:
             logger.warning("category %r has no validation documents", name)
 
-    matrix = ConfusionMatrix()
-    misclassified: dict[str, list[tuple[Document, str]]] = {}
-    correct: dict[str, list[Document]] = {}
-    results = classify_batch(validation_docs, taxonomy, backend)
-    for document, gold, result in zip(validation_docs, golds, results):
-        if isinstance(result, ClassificationFailure):
-            raise result.exception
-        matrix.record(gold, result.predicted)
-        if name_key(result.predicted) == name_key(gold):
-            correct.setdefault(gold, []).append(document)
-        else:
-            misclassified.setdefault(gold, []).append((document, result.predicted))
-    return ValidationOutcome(
-        matrix=matrix,
-        per_category_accuracy=matrix.per_category_accuracy(),
-        misclassified=misclassified,
-        correct=correct,
-    )
+    records, matrix = classify_labeled(labeled, taxonomy, backend)
+    for record in records:
+        if record.predicted is None:
+            raise record.item.exception
+    return ValidationOutcome(records, matrix)
 
 
 def sharpen_description(
@@ -178,7 +172,7 @@ def sharpen_description(
 def refine_description(
     category: Category,
     right: Sequence[Document],
-    wrong: Sequence[tuple[Document, str]],
+    wrong: Sequence[Document],
     backend: Backend,
     *,
     log: RunLog | None = None,
@@ -194,7 +188,7 @@ def refine_description(
         TemplateId.MISCLASS_REFINE,
         category.name,
         (d.text for d in right),
-        (d.text for d, _ in wrong),
+        (d.text for d in wrong),
         {"category_list": descriptor_to_json(category.descriptor)},
         backend,
         log,
@@ -239,12 +233,7 @@ def adapt_pair(
         raise UnknownCategoryError(f"unknown category {pair.correct!r}")
     if wrong_category is None:
         raise UnknownCategoryError(f"unknown category {pair.wrong!r}")
-    right = outcome.correct.get(correct_category.name, [])
-    wrong_docs = [
-        document
-        for document, predicted in outcome.misclassified.get(correct_category.name, [])
-        if name_key(predicted) == name_key(wrong_category.name)
-    ]
+    right, wrong_docs = outcome.samples(correct_category.name, wrong_category.name)
     if not wrong_docs:
         raise MissingSamplesError(
             f"no validation samples for confusion {pair.correct!r} -> {pair.wrong!r}"
@@ -316,11 +305,11 @@ def refine_loop(
         docs = _validation_subset(validation_docs, config)
         for iteration in range(1, config.max_iterations + 1):
             outcome = validate_category_set(current, docs, backend)
-            accuracies = outcome.per_category_accuracy
+            accuracies = outcome.matrix.per_category_accuracy()
             minimum = min(accuracies.values(), default=1.0)
             if log:
                 log.emit("validate", iteration=iteration, accuracy=minimum)
-            record = IterationRecord(index=iteration, accuracy=dict(accuracies))
+            record = IterationRecord(index=iteration, accuracy=accuracies)
             records.append(record)
             if minimum >= config.accuracy_threshold:
                 stop = StopReason.THRESHOLD_MET
@@ -337,8 +326,7 @@ def refine_loop(
             ]
             jobs = []
             for category in refines:
-                right = outcome.correct.get(category.name, [])
-                wrong = outcome.misclassified.get(category.name, [])
+                right, wrong = outcome.samples(category.name)
                 call = partial(refine_description, category, right, wrong, backend)
                 jobs.append((Stage.REFINE, category.name, call))
             jobs += [

@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from tagcraft import (
+    ConfusionMatrix,
     Document,
     Stage,
     Taxonomy,
@@ -26,7 +27,9 @@ from tagcraft.backends.base import (
     ScoringPath,
     check_candidates,
 )
+from tagcraft.classify import ClassificationResult, LabeledResult
 from tagcraft.extraction import extract_descriptor_set
+from tagcraft.refine import ValidationOutcome
 
 CANNED_DESCRIPTOR = '{"topic_name": "Scripted", "topic_description": "scripted update"}'
 
@@ -158,6 +161,18 @@ def scripted_docs(labels: Sequence[str], per_label: int) -> list[Document]:
         for label in labels
         for k in range(per_label)
     ]
+
+
+def validation_outcome(rows: Sequence[tuple[str, Document, str]]) -> ValidationOutcome:
+    """The ValidationOutcome of (gold, document, predicted) rows, each
+    prediction a ClassificationResult that scores only the predicted name."""
+    records, matrix = [], ConfusionMatrix()
+    for gold, document, predicted in rows:
+        scores = ScoreMap({predicted: 1.0}, ScoringPath.MOCK)
+        item = ClassificationResult(document.id, predicted, scores)
+        records.append(LabeledResult(gold, document, predicted, item))
+        matrix.record(gold, predicted)
+    return ValidationOutcome(records, matrix)
 
 
 def make_taxonomy(pairs: Sequence[tuple[str, str]], stage: Stage = Stage.BOOTSTRAP) -> Taxonomy:

@@ -25,6 +25,7 @@ from helpers import (
     keyword_documents,
     make_taxonomy,
     scripted_docs,
+    validation_outcome,
     write_generic_csv,
     write_plan,
 )
@@ -60,7 +61,6 @@ from tagcraft.experiment import (
     run_experiment,
 )
 from tagcraft.model import name_key
-from tagcraft.refine import ValidationOutcome
 
 
 def _passed(criterion: int, summary: str) -> None:
@@ -271,18 +271,18 @@ def test_criterion_6_name_set_invariance_under_random_replies() -> None:
             descriptor = refine_description(
                 target,
                 [],
-                [(Document(id="w", text="x"), names[0])],
+                [Document(id="w", text="x")],
                 StubBackend(completions=[reply]),
             )
             taxonomy = taxonomy_upsert(taxonomy, descriptor, Stage.REFINE, 1)
             expected = before
         elif kind == "adapt":
             correct, wrong = rng.sample(names, 2)
-            outcome = ValidationOutcome(
-                matrix=ConfusionMatrix(),
-                per_category_accuracy={},
-                misclassified={correct: [(Document(id="w", text="x"), wrong)]},
-                correct={correct: [Document(id="r", text="y")]},
+            outcome = validation_outcome(
+                [
+                    (correct, Document(id="w", text="x"), wrong),
+                    (correct, Document(id="r", text="y"), correct),
+                ]
             )
             reply = json.dumps(
                 {"topic_name": f"Rogue_{rng.randrange(1000)}", "topic_description": "new"}

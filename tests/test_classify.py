@@ -6,7 +6,7 @@ import pytest
 
 from helpers import CappedBackend, StubBackend, make_taxonomy
 from tagcraft import Document, MockBackend, classify, classify_batch
-from tagcraft.classify import ClassificationFailure, ClassificationResult, argmax
+from tagcraft.classify import ClassificationFailure, ClassificationResult, argmax, classify_labeled
 from tagcraft.errors import ClassificationError, EmptyTaxonomyError, FallbackParseError, PromptBudgetError
 
 
@@ -120,6 +120,28 @@ def test_batch_isolates_per_document_failures(mock_backend: MockBackend) -> None
     assert isinstance(results[1], ClassificationFailure)
     assert results[1].document_id == "bad"
     assert isinstance(results[2], ClassificationResult)
+
+
+def test_labeled_records_read_predictions_back_and_keep_failures_out_of_the_matrix(
+    mock_backend: MockBackend,
+) -> None:
+    taxonomy = make_taxonomy([("Alpha", "Covers aqua1."), ("Beta", "Covers brick1.")])
+    labeled = [
+        ("a", Document(id="1", text="aqua1")),
+        ("a", Document(id="2", text="brick1")),
+        ("b", Document(id="3", text="   ")),
+    ]
+    records, matrix = classify_labeled(labeled, taxonomy, mock_backend, {"a": "ALPHA"})
+    # Alpha reads back to its label; Beta has none, so it keeps its name.
+    assert [(r.gold, r.document.id, r.predicted) for r in records] == [
+        ("a", "1", "a"),
+        ("a", "2", "Beta"),
+        ("b", "3", None),
+    ]
+    assert isinstance(records[0].item, ClassificationResult)
+    assert isinstance(records[2].item, ClassificationFailure)
+    assert matrix.counts == {("a", "a"): 1, ("a", "Beta"): 1}
+    assert matrix.total == 2
 
 
 def test_empty_batch_is_empty_list(mock_backend: MockBackend) -> None:

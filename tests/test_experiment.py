@@ -11,6 +11,7 @@ from tagcraft.experiment import (
     DatasetKind,
     EvalPhase,
     ExperimentPlan,
+    load_dataset,
     load_plan,
     persist_result,
     preset_plan,
@@ -119,6 +120,35 @@ def test_accuracy_matches_recount_from_predictions(corpus_csv) -> None:
             assert report.per_class_accuracy[label] == pytest.approx(
                 sum(p.gold == p.predicted for p in rows) / len(rows)
             )
+
+
+def test_a_test_document_that_fails_to_score_is_dropped_and_counted(corpus_csv, tmp_path) -> None:
+    plan = _plan(corpus_csv)
+    baseline = run_experiment(plan, MockBackend(seed=2), RefinementConfig(seed=5))
+    texts = {document.id: document.text for document in load_dataset(plan)}
+    seen = [p for p in baseline.predictions if p.phase is EvalPhase.SEEN_ONLY]
+    # A text no other document contains, so exactly one scoring request fails.
+    target = next(
+        p.document_id
+        for p in seen
+        if sum(texts[p.document_id] in text for text in texts.values()) == 1
+    )
+
+    class FailsOnOneDocument(MockBackend):
+        def score_labels(self, request, candidates):
+            if texts[target] in request.user_text:
+                raise RuntimeError("scoring failed")
+            return super().score_labels(request, candidates)
+
+    result = run_experiment(plan, FailsOnOneDocument(seed=2), RefinementConfig(seed=5))
+    kept = [p for p in seen if p.document_id != target]
+    assert result.phase1.n_failed == 1
+    assert result.phase1.n_documents == len(seen) - 1
+    assert result.phase1.overall_accuracy == sum(p.gold == p.predicted for p in kept) / len(kept)
+    persist_result(result, tmp_path / "out")
+    lines = (tmp_path / "out" / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(baseline.predictions) - 2  # the document is in both phases
+    assert all(json.loads(line)["id"] != target for line in lines)
 
 
 def test_run_experiment_deterministic_given_seeds(corpus_csv) -> None:
@@ -238,6 +268,32 @@ def test_load_plan_rejects_unknown_top_level_keys(tmp_path, corpus_csv) -> None:
     data.update({"m_valdiate": 5, "test_per_clas": 3})
     plan_path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(SchemaError, match="m_valdiate"):
+        load_plan(plan_path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("m_validate", 2.9),
+        ("test_per_class", True),
+        ("seed", "3"),
+        ("max_iterations", 2.5),
+        ("max_iterations", True),
+        ("top_k_pairs", 1.5),
+        ("min_confusion_count", None),
+        ("accuracy_threshold", False),
+        ("accuracy_threshold", "0.9"),
+    ],
+)
+def test_load_plan_rejects_counts_that_are_not_integers(tmp_path, corpus_csv, key, value) -> None:
+    plan_path = write_plan(tmp_path / "plan.json", corpus_csv, seen=["ClassA", "ClassB"], unseen=[])
+    data = json.loads(plan_path.read_text(encoding="utf-8"))
+    if key in data:
+        data[key] = value
+    else:
+        data["refinement"] = {key: value}
+    plan_path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(SchemaError, match=key):
         load_plan(plan_path)
 
 

@@ -295,6 +295,25 @@ def test_matrix_accuracy_derivation() -> None:
     assert matrix.overall_accuracy() == pytest.approx(0.8)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_bootstrap", 3.0),
+        ("m_validate", 2.9),
+        ("max_iterations", 2.5),
+        ("max_iterations", True),
+        ("seed", "0"),
+        ("min_confusion_count", None),
+        ("top_k_pairs", 1.5),
+        ("accuracy_threshold", True),
+        ("accuracy_threshold", "0.9"),
+    ],
+)
+def test_refinement_config_rejects_values_of_the_wrong_type(key, value) -> None:
+    with pytest.raises(TypeError, match=key):
+        RefinementConfig(**{key: value})
+
+
 def test_refinement_config_validation() -> None:
     with pytest.raises(ValueError):
         RefinementConfig(accuracy_threshold=0.0)

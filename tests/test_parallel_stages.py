@@ -419,24 +419,40 @@ def test_refine_loop_upserts_each_refined_and_adapted_category_once(tmp_path, mo
 
 
 def test_refine_loop_calls_its_stages_through_module_attributes(tmp_path, monkeypatch) -> None:
-    # bench/spans.py times the refine and adapt stages by replacing these
-    # module attributes; a call through a name bound at import time would
-    # bypass the replacement and the stage would silently read zero.
-    calls = {"refine_description": 0, "adapt_pair": 0}
-    for name in calls:
-        original = getattr(tagcraft.refine, name)
+    # bench/spans.py times the validate, refine, adapt and evaluate stages by
+    # replacing these functions in every tagcraft module that binds them; a
+    # call through a name bound any other way would bypass the replacement
+    # and the stage would silently read zero.
+    owners = {
+        "validate_category_set": "tagcraft.refine",
+        "refine_description": "tagcraft.refine",
+        "adapt_pair": "tagcraft.refine",
+        "classify_batch": "tagcraft.classify",
+    }
+    calls = dict.fromkeys(owners, 0)
+    modules = [module for name, module in sys.modules.items() if name.split(".")[0] == "tagcraft"]
+    for name, owner in owners.items():
+        original = getattr(sys.modules[owner], name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(tagcraft.refine, name, counting)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
     result = run_experiment(_paired_plan(tmp_path), MockBackend(), _paired_config())
-    records = result.refinement.per_iteration
-    refined = sum(len(record.refined) for record in records)
-    adapted = sum(len(record.adapted) for record in records)
+    report = result.refinement
+    refined = sum(len(record.refined) for record in report.per_iteration)
+    adapted = sum(len(record.adapted) for record in report.per_iteration)
     assert refined >= 1 and adapted >= 1
-    assert calls == {"refine_description": refined, "adapt_pair": adapted}
+    assert calls == {
+        "validate_category_set": report.iterations_run,
+        "refine_description": refined,
+        "adapt_pair": adapted,
+        "classify_batch": report.iterations_run + 2,
+    }
 
 
 def test_experiment_outputs_are_byte_identical_to_a_serial_run(tmp_path) -> None:

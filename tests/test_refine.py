@@ -7,7 +7,13 @@ import re
 
 import pytest
 
-from helpers import ScriptedAccuracyBackend, StubBackend, make_taxonomy, scripted_docs
+from helpers import (
+    ScriptedAccuracyBackend,
+    StubBackend,
+    make_taxonomy,
+    scripted_docs,
+    validation_outcome,
+)
 from tagcraft import (
     ConfusionMatrix,
     ConfusionPair,
@@ -25,12 +31,13 @@ from tagcraft import (
     validate_category_set,
 )
 from tagcraft.errors import (
+    ClassificationError,
+    FallbackParseError,
     MissingSamplesError,
     RefinementAbortedError,
     UnknownCategoryError,
     UnknownGoldLabelError,
 )
-from tagcraft.refine import ValidationOutcome
 from tagcraft.runlog import RunLog
 
 
@@ -53,8 +60,8 @@ def test_validation_separable_corpus_is_perfect(mock_backend) -> None:
     taxonomy = _separable_taxonomy()
     docs = _docs_for("Alpha", ["aqua1", "aqua2"], 10) + _docs_for("Beta", ["brick1"], 10)
     outcome = validate_category_set(taxonomy, docs, mock_backend)
-    assert outcome.per_category_accuracy == {"Alpha": 1.0, "Beta": 1.0}
-    assert outcome.misclassified == {}
+    assert outcome.matrix.per_category_accuracy() == {"Alpha": 1.0, "Beta": 1.0}
+    assert all(record.predicted == record.gold for record in outcome.records)
     assert outcome.matrix.total == 20
 
 
@@ -63,27 +70,31 @@ def test_validation_adversarial_corpus_hits_zero(mock_backend) -> None:
     # every Beta document is written in Alpha vocabulary
     docs = _docs_for("Beta", ["aqua1", "aqua2"], 10)
     outcome = validate_category_set(taxonomy, docs, mock_backend)
-    assert outcome.per_category_accuracy["Beta"] == 0.0
-    assert len(outcome.misclassified["Beta"]) == 10
-    assert all(predicted == "Alpha" for _, predicted in outcome.misclassified["Beta"])
+    assert outcome.matrix.per_category_accuracy()["Beta"] == 0.0
+    assert outcome.samples("Beta") == ([], docs)
+    assert [(r.gold, r.predicted) for r in outcome.records] == [("Beta", "Alpha")] * 10
 
 
 def test_validation_empty_docs_is_empty_outcome(mock_backend) -> None:
     outcome = validate_category_set(_separable_taxonomy(), [], mock_backend)
     assert outcome.matrix.total == 0
-    assert outcome.per_category_accuracy == {}
+    assert outcome.matrix.per_category_accuracy() == {}
 
 
-def test_validation_unknown_gold_label_raises(mock_backend) -> None:
-    docs = [Document(id="d", text="aqua1", gold_label="Ghost")]
-    with pytest.raises(UnknownGoldLabelError):
+@pytest.mark.parametrize(
+    "label", [None, "", "   ", "Ghost"], ids=["None", "empty", "whitespace", "Ghost"]
+)
+def test_validation_unknown_gold_label_raises(mock_backend, label) -> None:
+    docs = [Document(id="d", text="aqua1", gold_label=label)]
+    with pytest.raises(UnknownGoldLabelError) as exc:
         validate_category_set(_separable_taxonomy(), docs, mock_backend)
+    assert (exc.value.document_id, exc.value.label) == ("d", label)
 
 
 def test_validation_gold_matching_is_case_insensitive(mock_backend) -> None:
     docs = [Document(id="d", text="aqua1 aqua2", gold_label="ALPHA")]
     outcome = validate_category_set(_separable_taxonomy(), docs, mock_backend)
-    assert outcome.per_category_accuracy == {"Alpha": 1.0}
+    assert outcome.matrix.per_category_accuracy() == {"Alpha": 1.0}
 
 
 def test_validation_uncovered_category_warns_but_succeeds(mock_backend, caplog) -> None:
@@ -91,7 +102,7 @@ def test_validation_uncovered_category_warns_but_succeeds(mock_backend, caplog) 
     with caplog.at_level("WARNING", logger="tagcraft.refine"):
         outcome = validate_category_set(_separable_taxonomy(), docs, mock_backend)
     assert "Beta" in caplog.text
-    assert "Beta" not in outcome.per_category_accuracy
+    assert "Beta" not in outcome.matrix.per_category_accuracy()
 
 
 # -- refine_description -----------------------------------------------------------
@@ -101,8 +112,8 @@ def test_refine_description_keeps_name_and_mentions_missed_patterns(mock_backend
     taxonomy = make_taxonomy([("Network_Connectivity", "Covers outages, drops.")])
     category = taxonomy.categories[0]
     wrong = [
-        (Document(id="w1", text="vpn tunnel fails"), "Other"),
-        (Document(id="w2", text="vpn proxy timeout"), "Other"),
+        Document(id="w1", text="vpn tunnel fails"),
+        Document(id="w2", text="vpn proxy timeout"),
     ]
     right = [Document(id="r1", text="outage downtown")]
     descriptor = refine_description(category, right, wrong, mock_backend)
@@ -118,7 +129,7 @@ def test_refine_reply_rename_is_overridden_back() -> None:
     descriptor = refine_description(
         taxonomy.categories[0],
         [],
-        [(Document(id="w", text="x"), "Other")],
+        [Document(id="w", text="x")],
         backend,
     )
     assert descriptor.topic_name == "Stable_Name"
@@ -127,7 +138,7 @@ def test_refine_reply_rename_is_overridden_back() -> None:
 
 def _refine_stable_name(backend):
     taxonomy = make_taxonomy([("Stable_Name", "old text")])
-    wrong = [(Document(id="w", text="x"), "Other")]
+    wrong = [Document(id="w", text="x")]
     return "Stable_Name", refine_description(taxonomy.categories[0], [], wrong, backend)
 
 
@@ -229,25 +240,17 @@ def test_mine_matches_bruteforce_on_random_matrices() -> None:
 # -- adapt_pair ---------------------------------------------------------------------
 
 
-def _outcome_for_pair() -> ValidationOutcome:
-    matrix = _matrix({("Software_Auth", "Hardware_Auth"): 2, ("Hardware_Auth", "Software_Auth"): 2})
-    return ValidationOutcome(
-        matrix=matrix,
-        per_category_accuracy=matrix.per_category_accuracy(),
-        misclassified={
-            "Software_Auth": [
-                (Document(id="s1", text="password reset loop"), "Hardware_Auth"),
-                (Document(id="s2", text="token app crash"), "Hardware_Auth"),
-            ],
-            "Hardware_Auth": [
-                (Document(id="h1", text="badge reader jam"), "Software_Auth"),
-                (Document(id="h2", text="fingerprint scanner dead"), "Software_Auth"),
-            ],
-        },
-        correct={
-            "Software_Auth": [Document(id="s3", text="password expired")],
-            "Hardware_Auth": [Document(id="h3", text="card reader offline")],
-        },
+def _outcome_for_pair():
+    software, hardware = "Software_Auth", "Hardware_Auth"
+    return validation_outcome(
+        [
+            (software, Document(id="s1", text="password reset loop"), hardware),
+            (software, Document(id="s2", text="token app crash"), hardware),
+            (hardware, Document(id="h1", text="badge reader jam"), software),
+            (hardware, Document(id="h2", text="fingerprint scanner dead"), software),
+            (software, Document(id="s3", text="password expired"), software),
+            (hardware, Document(id="h3", text="card reader offline"), hardware),
+        ]
     )
 
 
@@ -276,7 +279,7 @@ def test_adapt_unknown_category_raises(mock_backend) -> None:
 
 def test_adapt_missing_samples_raises(mock_backend) -> None:
     taxonomy = make_taxonomy([("Software_Auth", "software"), ("Hardware_Auth", "hardware")])
-    outcome = ValidationOutcome(ConfusionMatrix(), {}, {}, {})
+    outcome = validation_outcome([])
     with pytest.raises(MissingSamplesError):
         adapt_pair(
             ConfusionPair("Software_Auth", "Hardware_Auth", 2), outcome, taxonomy, mock_backend
@@ -403,6 +406,24 @@ def test_loop_aborts_with_partial_report() -> None:
     assert len(exc.value.iterations) == 1
     assert exc.value.iterations[0].accuracy["Alpha"] == 0.5
     assert isinstance(exc.value.__cause__, RuntimeError)
+
+
+def test_loop_aborts_when_a_validation_document_fails_to_score() -> None:
+    class FailsOnOneDocument(ScriptedAccuracyBackend):
+        def score_labels(self, request, candidates):
+            if "gold=Beta idx=3" in request.user_text:
+                raise FallbackParseError("matched no candidate")
+            return super().score_labels(request, candidates)
+
+    backend = FailsOnOneDocument([{"Alpha": 20, "Beta": 20}])
+    taxonomy = make_taxonomy([("Alpha", "a"), ("Beta", "b")])
+    docs = scripted_docs(["Alpha", "Beta"], 20)
+    with pytest.raises(RefinementAbortedError) as exc:
+        refine_loop(taxonomy, docs, _loop_config(), backend)
+    assert exc.value.iterations == []
+    cause = exc.value.__cause__
+    assert isinstance(cause, ClassificationError)
+    assert cause.document_id == "Beta-3"
 
 
 def test_loop_emits_run_log_events() -> None:
