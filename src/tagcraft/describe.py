@@ -20,6 +20,7 @@ from .model import (
     TopicDescriptor,
     group_by_label,
     taxonomy_upsert,
+    taxonomy_upsert_all,
 )
 from .prompts import TemplateId, format_sample_block, render
 
@@ -119,9 +120,10 @@ def contrast_taxonomy(taxonomy: Taxonomy, backend: Backend) -> Taxonomy:
     Category names, count, and order never change; replies naming unknown
     categories are ignored; categories missing from the reply keep their
     current description. Every matched category gains one CONTRAST history
-    entry. Categories go CONTRAST_BATCH_SIZE to a prompt; batches are
-    requested concurrently and merged in batch order, so the first reply
-    naming a category wins.
+    entry, and the pass is applied as one snapshot whose version rises by
+    the number of matched categories. Categories go CONTRAST_BATCH_SIZE to a
+    prompt; batches are requested concurrently and merged in batch order, so
+    the first reply naming a category wins.
 
     Raises:
         ValueError: fewer than two categories.
@@ -160,7 +162,4 @@ def contrast_taxonomy(taxonomy: Taxonomy, backend: Backend) -> Taxonomy:
             updates.append(descriptor)
     if not updates:
         raise ContrastDroppedAllError("contrast reply matched no existing category")
-    result = taxonomy
-    for descriptor in updates:
-        result = taxonomy_upsert(result, descriptor, Stage.CONTRAST, 0)
-    return result
+    return taxonomy_upsert_all(taxonomy, ((d, Stage.CONTRAST, 0) for d in updates))

@@ -76,6 +76,8 @@ class ExperimentPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for key in ("n_bootstrap", "m_validate", "test_per_class", "seed"):
+            require_int(key, getattr(self, key))
         if not self.seen_labels:
             raise ValueError("an experiment needs at least one seen label")
         seen = {label.casefold() for label in self.seen_labels}
@@ -166,7 +168,7 @@ def load_plan(path: str | Path) -> tuple[ExperimentPlan, RefinementConfig]:
             data_path=data["data_path"],
             seen_labels=tuple(data["seen_labels"]),
             unseen_labels=tuple(data.get("unseen_labels", ())),
-            **{key: require_int(key, data[key]) for key in counts if key in data},
+            **{key: data[key] for key in counts if key in data},
         )
         refinement = data.get("refinement", {})
         owned = sorted({"n_bootstrap", "m_validate", "seed"} & set(refinement))

@@ -1,24 +1,23 @@
 """Core domain types: topic descriptors, categories, and the taxonomy.
 
 Taxonomy values are immutable snapshots; every mutation returns a new
-value with a bumped version counter. Category names are case-preserving
-but compared case-insensitively, and taxonomy order is stable because it
-defines the deterministic tie-break during classification.
+value whose version counter is bumped once per applied update, and a batch
+of updates builds one snapshot. Category names are case-preserving but
+compared case-insensitively through a name-key index that each snapshot
+builds once, and taxonomy order is stable because it defines the
+deterministic tie-break during classification.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import EmptyNameError, FileIOError, SchemaError
 from .fileio import write_text_atomic
-
-_WHITESPACE_RUN = re.compile(r"\s+")
 
 
 def normalize_name(raw: str) -> str:
@@ -28,7 +27,9 @@ def normalize_name(raw: str) -> str:
     Raises:
         EmptyNameError: if nothing remains after normalization.
     """
-    name = _WHITESPACE_RUN.sub("_", raw.strip())
+    # Bare str.split() splits on runs of str.isspace() characters, the set
+    # the regex \s matches, and drops them at both ends.
+    name = "_".join(raw.split())
     if not name:
         raise EmptyNameError("category name is empty after normalization")
     return name
@@ -98,9 +99,10 @@ class Category:
     def __post_init__(self) -> None:
         if not self.history:
             raise ValueError("a category requires at least one history entry")
-        head = name_key(self.history[0].descriptor.topic_name)
+        # Stored names are normalized by TopicDescriptor, so casefold is their key.
+        head = self.history[0].descriptor.topic_name.casefold()
         for entry in self.history:
-            if name_key(entry.descriptor.topic_name) != head:
+            if entry.descriptor.topic_name.casefold() != head:
                 raise ValueError(
                     f"history entry name {entry.descriptor.topic_name!r} does not "
                     f"match category name {self.name!r}"
@@ -130,7 +132,7 @@ class Category:
         The descriptor's name must match this category case-insensitively;
         its casing is canonicalized to the stored name.
         """
-        if name_key(descriptor.topic_name) != name_key(self.name):
+        if descriptor.topic_name.casefold() != self.name.casefold():
             raise ValueError(
                 f"descriptor name {descriptor.topic_name!r} does not match "
                 f"category {self.name!r}"
@@ -143,28 +145,30 @@ class Category:
 
 @dataclass(frozen=True)
 class Taxonomy:
-    """Ordered set of categories with a monotone version counter."""
+    """Ordered set of categories with a monotone version counter.
+
+    Construction builds a name-key -> position index once, so ``index_of``
+    and ``get`` cost one ``name_key`` and one dict lookup. The index is not
+    a field: it stays out of equality, hashing, ``repr`` and ``asdict``.
+    """
 
     categories: tuple[Category, ...] = ()
     version: int = 0
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for category in self.categories:
-            key = name_key(category.name)
-            if key in seen:
+        index: dict[str, int] = {}
+        for i, category in enumerate(self.categories):
+            key = category.name.casefold()
+            if key in index:
                 raise ValueError(f"duplicate category name: {category.name!r}")
-            seen.add(key)
+            index[key] = i
+        object.__setattr__(self, "_index", index)
 
     def names(self) -> tuple[str, ...]:
         return tuple(category.name for category in self.categories)
 
     def index_of(self, name: str) -> int | None:
-        key = name_key(name)
-        for i, category in enumerate(self.categories):
-            if name_key(category.name) == key:
-                return i
-        return None
+        return self._index.get(name_key(name))
 
     def get(self, name: str) -> Category | None:
         idx = self.index_of(name)
@@ -172,6 +176,33 @@ class Taxonomy:
 
     def __len__(self) -> int:
         return len(self.categories)
+
+
+def taxonomy_upsert_all(
+    taxonomy: Taxonomy,
+    updates: Iterable[tuple[TopicDescriptor, Stage, int]],
+    provenance: Provenance = Provenance.GENERATED,
+) -> Taxonomy:
+    """Apply ``(descriptor, stage, iteration)`` updates in order and return
+    one new snapshot. Each update appends a descriptor version to the
+    matching category, or adds a new category at the end when the name is
+    unknown (a later update may then match it). Existing categories are
+    never reordered; the version counter is bumped once per update, so a
+    batch ends at the same version as the same updates applied one by one.
+    """
+    categories = list(taxonomy.categories)
+    index = dict(taxonomy._index)
+    version = taxonomy.version
+    for descriptor, stage, iteration in updates:
+        key = name_key(descriptor.topic_name)
+        idx = index.get(key)
+        if idx is None:
+            index[key] = len(categories)
+            categories.append(Category(provenance, (HistoryEntry(stage, iteration, descriptor),)))
+        else:
+            categories[idx] = categories[idx].with_descriptor(descriptor, stage, iteration)
+        version += 1
+    return Taxonomy(tuple(categories), version)
 
 
 def taxonomy_upsert(
@@ -182,17 +213,10 @@ def taxonomy_upsert(
     provenance: Provenance = Provenance.GENERATED,
 ) -> Taxonomy:
     """Append a descriptor version to the matching category, or add a new
-    category at the end when the name is unknown. Existing categories are
-    never reordered; the version counter is bumped either way.
+    category at the end when the name is unknown: ``taxonomy_upsert_all``
+    with one update, so the new snapshot's version is one higher.
     """
-    idx = taxonomy.index_of(descriptor.topic_name)
-    if idx is None:
-        entry = HistoryEntry(stage, iteration, descriptor)
-        categories = taxonomy.categories + (Category(provenance, (entry,)),)
-    else:
-        updated = taxonomy.categories[idx].with_descriptor(descriptor, stage, iteration)
-        categories = taxonomy.categories[:idx] + (updated,) + taxonomy.categories[idx + 1 :]
-    return Taxonomy(categories, taxonomy.version + 1)
+    return taxonomy_upsert_all(taxonomy, ((descriptor, stage, iteration),), provenance)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 from helpers import StubBackend, class_vocab, echo_contrast, keyword_documents, make_taxonomy
 from tagcraft import (
     Document,
+    MockBackend,
     SamplePlan,
     SamplingStrategy,
     Stage,
@@ -17,6 +18,7 @@ from tagcraft import (
     sample_bootstrap,
     taxonomy_upsert,
 )
+import tagcraft.model
 from tagcraft.errors import ContrastDroppedAllError, DescriptorParseError, NoDocumentsError
 
 
@@ -115,6 +117,31 @@ def test_contrast_rewrites_all_without_touching_names(mock_backend) -> None:
         assert category.history[-1].stage is Stage.CONTRAST
         assert len(category.history) == 2
     assert "Beta" in result.categories[0].descriptor.topic_description
+
+
+def _contrast_normalizations(k: int, monkeypatch) -> int:
+    taxonomy = make_taxonomy([(f"Topic_{i}", f"Covers word{i} and term{i}.") for i in range(k)])
+    calls = 0
+    real = tagcraft.model.normalize_name
+
+    def counting(raw: str) -> str:
+        nonlocal calls
+        calls += 1
+        return real(raw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tagcraft.model, "normalize_name", counting)
+        contrast_taxonomy(taxonomy, MockBackend(seed=0))
+    return calls
+
+
+def test_contrast_name_normalizations_grow_linearly_with_k(monkeypatch) -> None:
+    """A contrast pass normalizes each name a bounded number of times: a
+    quadratic pass (one index scan per applied reply) grows about 4x when K
+    doubles."""
+    at_100 = _contrast_normalizations(100, monkeypatch)
+    at_200 = _contrast_normalizations(200, monkeypatch)
+    assert at_200 <= 2.5 * at_100, (at_100, at_200)
 
 
 def test_contrast_requires_two_categories(mock_backend) -> None:

@@ -59,6 +59,15 @@ def test_plan_rejects_duplicate_labels(corpus_csv, labels) -> None:
         _plan(corpus_csv, **labels)
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [{"m_validate": 2.5}, {"test_per_class": True}, {"n_bootstrap": "8"}, {"seed": None}],
+)
+def test_plan_rejects_counts_that_are_not_integers(corpus_csv, counts) -> None:
+    with pytest.raises(TypeError, match=next(iter(counts))):
+        _plan(corpus_csv, **counts)
+
+
 def test_preset_plans() -> None:
     agnews = preset_plan("agnews", "ag.csv")
     assert agnews.seen_labels == ("World", "Sports", "Business")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import errno
 import json
 import stat
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from tagcraft import (
     taxonomy_upsert,
 )
 from tagcraft.errors import EmptyNameError, FileIOError, SchemaError
-from tagcraft.model import RefinementConfig, name_key
+from tagcraft.model import Category, HistoryEntry, RefinementConfig, name_key, taxonomy_upsert_all
 
 
 # -- name normalization --------------------------------------------------------
@@ -37,6 +38,7 @@ def test_normalize_is_idempotent_on_normalized_input() -> None:
 
 def test_normalize_collapses_whitespace_runs() -> None:
     assert normalize_name("A  B\tC") == "A_B_C"
+    assert normalize_name("\u00a0A\u2003\x1cB\nC\u3000") == "A_B_C"
 
 
 def test_normalize_empty_raises() -> None:
@@ -117,6 +119,7 @@ def test_upsert_case_insensitive_match_preserves_first_casing() -> None:
 def test_upsert_sequences_keep_invariants(ops: list[tuple[str, str]]) -> None:
     taxonomy = Taxonomy()
     previous_names: tuple[str, ...] = ()
+    probes = {name for name, _ in ops} | {" alpha ", "DELTA   d", "Epsilon"}
     for name, description in ops:
         taxonomy = taxonomy_upsert(taxonomy, TopicDescriptor(name, description), Stage.HITL, 0)
         names = taxonomy.names()
@@ -129,6 +132,32 @@ def test_upsert_sequences_keep_invariants(ops: list[tuple[str, str]]) -> None:
         previous_names = names
         for category in taxonomy.categories:
             assert category.descriptor == category.history[-1].descriptor
+        # the key index agrees with a linear scan
+        for probe in probes:
+            scan = next((i for i, key in enumerate(keys) if key == name_key(probe)), None)
+            assert taxonomy.index_of(probe) == scan
+            assert taxonomy.get(probe) == (None if scan is None else taxonomy.categories[scan])
+    batch = [(TopicDescriptor(name, description), Stage.HITL, 0) for name, description in ops]
+    batched = taxonomy_upsert_all(Taxonomy(), batch)
+    assert batched == taxonomy
+    assert batched.version == len(ops)
+
+
+def test_taxonomy_rejects_names_equal_after_normalization() -> None:
+    def category(name: str) -> Category:
+        entry = HistoryEntry(Stage.BOOTSTRAP, 0, TopicDescriptor(name, "d"))
+        return Category(Provenance.GENERATED, (entry,))
+
+    with pytest.raises(ValueError, match="duplicate"):
+        Taxonomy((category("Alpha Beta"), category("alpha_beta")))
+
+
+def test_key_index_stays_out_of_equality_repr_and_asdict() -> None:
+    taxonomy = _tax(("Alpha", "one"))
+    assert "_index" not in repr(taxonomy)
+    assert set(asdict(taxonomy)) == {"categories", "version"}
+    assert taxonomy == Taxonomy(taxonomy.categories, taxonomy.version)
+    assert hash(taxonomy) == hash(Taxonomy(taxonomy.categories, taxonomy.version))
 
 
 # -- persistence -------------------------------------------------------------------
