@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .backends.base import Backend, ScoreMap
 from .errors import ClassificationError, EmptyTaxonomyError, FallbackParseError, PromptBudgetError
@@ -120,18 +120,26 @@ def classify_labeled(
     taxonomy: Taxonomy,
     backend: Backend,
     label_names: Mapping[str, str] | None = None,
-) -> tuple[list[LabeledResult], ConfusionMatrix]:
+) -> list[LabeledResult]:
     """Classify (gold, document) pairs with classify_batch; return one record
-    per document, in input order, and the confusion matrix of those that did
-    not fail. ``label_names`` (label -> category name) reads each prediction
-    back to its label; a name no label maps to stays as it is."""
+    per document, in input order. ``label_names`` (label -> category name)
+    reads each prediction back to its label; a name no label maps to stays
+    as it is."""
     label_of = {name_key(name): label for label, name in (label_names or {}).items()}
     items = classify_batch([document for _, document in labeled], taxonomy, backend)
-    records, matrix = [], ConfusionMatrix()
+    records = []
     for (gold, document), item in zip(labeled, items):
         predicted = None
         if isinstance(item, ClassificationResult):
             predicted = label_of.get(name_key(item.predicted), item.predicted)
-            matrix.record(gold, predicted)
         records.append(LabeledResult(gold, document, predicted, item))
-    return records, matrix
+    return records
+
+
+def tally(records: Iterable[LabeledResult]) -> ConfusionMatrix:
+    """The confusion matrix of the records whose document did not fail."""
+    matrix = ConfusionMatrix()
+    for record in records:
+        if record.predicted is not None:
+            matrix.record(record.gold, record.predicted)
+    return matrix

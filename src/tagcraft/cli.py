@@ -131,13 +131,6 @@ def main(ctx, **params):
     ctx.obj = CliState(**params)
 
 
-_FORMATS = sorted(kind.value for kind in xp.DATASET_LOADERS)
-
-
-def _load_docs(path: str, fmt: str) -> list[Document]:
-    return xp.DATASET_LOADERS[xp.DatasetKind(fmt)](path)
-
-
 def _apply_label_map(docs: list[Document], map_path: str | None) -> list[Document]:
     if not map_path:
         return docs
@@ -155,7 +148,7 @@ def _apply_label_map(docs: list[Document], map_path: str | None) -> list[Documen
 
 @main.command()
 @click.option("--dataset", "dataset_path", required=True, type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(_FORMATS), default="csv", show_default=True)
+@click.option("--format", "fmt", type=click.Choice([kind.value for kind in xp.DatasetKind]), default="csv", show_default=True)
 @click.option("--labels", default=None, help="Comma-separated labels to bootstrap (default: all found).")
 @click.option("--n", "n_samples", type=int, default=20, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -164,7 +157,7 @@ def _apply_label_map(docs: list[Document], map_path: str | None) -> list[Documen
 @_guarded
 def bootstrap(state: CliState, dataset_path, fmt, labels, n_samples, out_path, map_path):
     """Bootstrap one category per label from sampled documents."""
-    docs = _load_docs(dataset_path, fmt)
+    docs = xp.load_dataset(fmt, dataset_path)
     if labels:
         label_list = [x.strip() for x in labels.split(",") if x.strip()]
     else:
@@ -200,7 +193,7 @@ def contrast(state: CliState, taxonomy_path, out_path):
 @main.command()
 @click.option("--taxonomy", "taxonomy_path", required=True, type=click.Path())
 @click.option("--validate", "validate_path", required=True, type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(_FORMATS), default="csv", show_default=True)
+@click.option("--format", "fmt", type=click.Choice([kind.value for kind in xp.DatasetKind]), default="csv", show_default=True)
 @click.option("--label-map", "label_map", type=click.Path(), default=None)
 @click.option("--threshold", type=float, default=RefinementConfig.accuracy_threshold, show_default=True)
 @click.option("--max-iters", type=int, default=RefinementConfig.max_iterations, show_default=True)
@@ -215,7 +208,7 @@ def refine(state: CliState, taxonomy_path, validate_path, fmt, label_map, thresh
            m_validate, min_confusion, top_k, out_path, report_path):
     """Run the iterative validate/refine loop against labeled documents."""
     taxonomy = load_taxonomy(taxonomy_path)
-    docs = _apply_label_map(_load_docs(validate_path, fmt), label_map)
+    docs = _apply_label_map(xp.load_dataset(fmt, validate_path), label_map)
     config = RefinementConfig(
         m_validate=m_validate,
         accuracy_threshold=threshold,

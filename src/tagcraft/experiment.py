@@ -2,7 +2,8 @@
 introduce the unseen classes, evaluate again, and report the accuracy shift.
 
 Validation and both test phases classify labeled documents along one path,
-``classify.classify_labeled``. Generated category names replace the source
+``classify.classify_labeled``, and read their matrices from its records
+with ``classify.tally``. Generated category names replace the source
 labels internally (documents are relabeled for validation); test predictions
 are read back through the label mapping, so every report is in the dataset's
 own label space. A test document that fails to classify only counts in
@@ -14,19 +15,13 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
+from . import datasets
 from .backends.base import Backend
-from .classify import classify_labeled
-from .datasets import (
-    AGNEWS_LABELS,
-    DBPEDIA_LABELS,
-    load_agnews,
-    load_dbpedia,
-    load_generic_csv,
-    split_seen_unseen,
-)
+from .classify import LabeledResult, classify_labeled, tally
+from .datasets import AGNEWS_LABELS, DBPEDIA_LABELS, split_seen_unseen
 from .describe import SamplePlan, bootstrap_taxonomy, contrast_taxonomy
 from .errors import SchemaError
 from .fileio import write_text_atomic
@@ -49,14 +44,6 @@ class DatasetKind(str, enum.Enum):
     AGNEWS = "agnews"
     DBPEDIA = "dbpedia"
     GENERIC_CSV = "csv"
-
-
-# The reader for each dataset format; the CLI's --format choices are its keys.
-DATASET_LOADERS = {
-    DatasetKind.AGNEWS: load_agnews,
-    DatasetKind.DBPEDIA: load_dbpedia,
-    DatasetKind.GENERIC_CSV: load_generic_csv,
-}
 
 
 class EvalPhase(str, enum.Enum):
@@ -92,12 +79,23 @@ class ExperimentPlan:
 
 @dataclass
 class EvalReport:
+    """One test phase: a record per document, in test order and in the
+    dataset's label space; the other fields are computed once from them."""
+
     phase: EvalPhase
-    overall_accuracy: float
-    per_class_accuracy: dict[str, float]
-    matrix: ConfusionMatrix
-    n_documents: int
-    n_failed: int
+    records: list[LabeledResult]
+    matrix: ConfusionMatrix = field(init=False)
+    overall_accuracy: float = field(init=False)
+    per_class_accuracy: dict[str, float] = field(init=False)
+    n_documents: int = field(init=False)
+    n_failed: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.matrix = tally(self.records)
+        self.overall_accuracy = self.matrix.overall_accuracy()
+        self.per_class_accuracy = self.matrix.per_category_accuracy()
+        self.n_documents = self.matrix.total
+        self.n_failed = len(self.records) - self.n_documents
 
 
 @dataclass
@@ -118,7 +116,17 @@ class ExperimentResult:
     phase2: EvalReport
     refinement: RefinementReport
     accuracy_shift: float
-    predictions: list[PredictionRecord]
+
+    @property
+    def predictions(self) -> list[PredictionRecord]:
+        """The test predictions of both phases, in test order; a document
+        that failed to classify has none."""
+        return [
+            PredictionRecord(r.document.id, r.gold, r.predicted, report.phase)
+            for report in (self.phase1, self.phase2)
+            for r in report.records
+            if r.predicted is not None
+        ]
 
 
 def preset_plan(kind: DatasetKind | str, data_path: str, **overrides) -> ExperimentPlan:
@@ -142,8 +150,14 @@ def preset_plan(kind: DatasetKind | str, data_path: str, **overrides) -> Experim
     )
 
 
-def load_dataset(plan: ExperimentPlan) -> list[Document]:
-    return DATASET_LOADERS[plan.dataset](plan.data_path)
+def load_dataset(kind: DatasetKind | str, path: str | Path) -> list[Document]:
+    """The documents of the dataset file at ``path``, read as ``kind``."""
+    kind = DatasetKind(kind)
+    if kind is DatasetKind.AGNEWS:
+        return datasets.load_agnews(path)
+    if kind is DatasetKind.DBPEDIA:
+        return datasets.load_dbpedia(path)
+    return datasets.load_generic_csv(path)
 
 
 def load_plan(path: str | Path) -> tuple[ExperimentPlan, RefinementConfig]:
@@ -166,8 +180,8 @@ def load_plan(path: str | Path) -> tuple[ExperimentPlan, RefinementConfig]:
         plan = ExperimentPlan(
             dataset=DatasetKind(data["dataset"]),
             data_path=data["data_path"],
-            seen_labels=tuple(data["seen_labels"]),
-            unseen_labels=tuple(data.get("unseen_labels", ())),
+            seen_labels=_labels("seen_labels", data["seen_labels"]),
+            unseen_labels=_labels("unseen_labels", data.get("unseen_labels", [])),
             **{key: data[key] for key in counts if key in data},
         )
         refinement = data.get("refinement", {})
@@ -180,6 +194,13 @@ def load_plan(path: str | Path) -> tuple[ExperimentPlan, RefinementConfig]:
     except (KeyError, TypeError, ValueError) as err:
         raise SchemaError(f"invalid plan {path}: {err}") from err
     return plan, config
+
+
+def _labels(key: str, value: object) -> tuple[str, ...]:
+    """``value`` as a tuple if it is a list of strings, else a TypeError naming ``key``."""
+    if not isinstance(value, list) or not all(isinstance(label, str) for label in value):
+        raise TypeError(f"{key} must be a list of strings, got {value!r}")
+    return tuple(value)
 
 
 def run_experiment(
@@ -209,7 +230,7 @@ def run_experiment(
             directory.mkdir(parents=True, exist_ok=True)
             save_taxonomy(taxonomy, directory / "taxonomy.partial.json")
 
-    documents = load_dataset(plan)
+    documents = load_dataset(plan.dataset, plan.data_path)
     split = split_seen_unseen(
         documents,
         seen_labels=plan.seen_labels,
@@ -236,7 +257,9 @@ def run_experiment(
     checkpoint(taxonomy)
 
     seen_test = [(label, doc) for label in plan.seen_labels for doc in split.seen_test[label]]
-    phase1, predictions = _evaluate(taxonomy, seen_test, label_names, EvalPhase.SEEN_ONLY, backend)
+    phase1 = EvalReport(
+        EvalPhase.SEEN_ONLY, classify_labeled(seen_test, taxonomy, backend, label_names)
+    )
 
     for label in plan.unseen_labels:
         rough = TopicDescriptor(label, f"Documents about {label}.")
@@ -251,13 +274,13 @@ def run_experiment(
         checkpoint(taxonomy)
 
     unseen_test = [(label, doc) for label in plan.unseen_labels for doc in split.unseen_test[label]]
-    phase2, phase2_predictions = _evaluate(
-        taxonomy, seen_test + unseen_test, label_names, EvalPhase.AFTER_UNSEEN, backend
+    phase2 = EvalReport(
+        EvalPhase.AFTER_UNSEEN,
+        classify_labeled(seen_test + unseen_test, taxonomy, backend, label_names),
     )
 
-    seen = {cell: n for cell, n in phase2.matrix.counts.items() if cell[0] in plan.seen_labels}
-    hits = sum(n for (gold, predicted), n in seen.items() if gold == predicted)
-    seen_accuracy = hits / sum(seen.values()) if seen else phase1.overall_accuracy
+    seen = tally(r for r in phase2.records if r.gold in plan.seen_labels)
+    seen_accuracy = seen.overall_accuracy() if seen.total else phase1.overall_accuracy
     return ExperimentResult(
         plan=plan,
         config=config,
@@ -267,32 +290,7 @@ def run_experiment(
         phase2=phase2,
         refinement=refinement,
         accuracy_shift=seen_accuracy - phase1.overall_accuracy,
-        predictions=predictions + phase2_predictions,
     )
-
-
-def _evaluate(
-    taxonomy: Taxonomy,
-    labeled_docs: list[tuple[str, Document]],
-    label_names: dict[str, str],
-    phase: EvalPhase,
-    backend: Backend,
-) -> tuple[EvalReport, list[PredictionRecord]]:
-    """Score one test phase; a failed document is left out of all but n_failed."""
-    records, matrix = classify_labeled(labeled_docs, taxonomy, backend, label_names)
-    report = EvalReport(
-        phase=phase,
-        overall_accuracy=matrix.overall_accuracy(),
-        per_class_accuracy=matrix.per_category_accuracy(),
-        matrix=matrix,
-        n_documents=matrix.total,
-        n_failed=len(records) - matrix.total,
-    )
-    predictions = [
-        PredictionRecord(r.document.id, r.gold, r.predicted, phase)
-        for r in records if r.predicted is not None
-    ]
-    return report, predictions
 
 
 def _matrix_to_dict(matrix: ConfusionMatrix) -> dict:

@@ -238,11 +238,13 @@ class ConfusionMatrix:
     """Counts of (gold, predicted) pairs from a validation or test pass."""
 
     counts: dict[tuple[str, str], int] = field(default_factory=dict)
-    total: int = 0
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
 
     def record(self, gold: str, predicted: str, n: int = 1) -> None:
         self.counts[(gold, predicted)] = self.counts.get((gold, predicted), 0) + n
-        self.total += n
 
     def per_category_accuracy(self) -> dict[str, float]:
         hits: dict[str, int] = {}
@@ -328,7 +330,7 @@ def _category_from_dict(data: Mapping) -> Category:
         entries.append(
             HistoryEntry(
                 stage=Stage(item["stage"]),
-                iteration=int(item["iteration"]),
+                iteration=require_int("iteration", item["iteration"]),
                 descriptor=TopicDescriptor(item["topic_name"], item["topic_description"]),
             )
         )
@@ -346,7 +348,7 @@ def _category_from_dict(data: Mapping) -> Category:
 
 def taxonomy_from_dict(data: Mapping) -> Taxonomy:
     try:
-        version = int(data["version"])
+        version = require_int("version", data["version"])
         raw_categories = data["categories"]
         if not isinstance(raw_categories, list):
             raise ValueError("categories must be a list")

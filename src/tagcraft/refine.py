@@ -21,7 +21,7 @@ from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from .backends.base import Backend
-from .classify import LabeledResult, classify_labeled
+from .classify import LabeledResult, classify_labeled, tally
 from .errors import (
     MissingSamplesError,
     RefinementAbortedError,
@@ -50,10 +50,13 @@ logger = logging.getLogger(__name__)
 @dataclass
 class ValidationOutcome:
     """One validation pass: a record per document, gold and prediction both
-    category names, and their confusion matrix."""
+    category names; ``matrix`` is their tally."""
 
     records: list[LabeledResult]
-    matrix: ConfusionMatrix
+    matrix: ConfusionMatrix = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.matrix = tally(self.records)
 
     def samples(
         self, gold: str, predicted: str | None = None
@@ -124,11 +127,11 @@ def validate_category_set(
         if name not in covered:
             logger.warning("category %r has no validation documents", name)
 
-    records, matrix = classify_labeled(labeled, taxonomy, backend)
+    records = classify_labeled(labeled, taxonomy, backend)
     for record in records:
         if record.predicted is None:
             raise record.item.exception
-    return ValidationOutcome(records, matrix)
+    return ValidationOutcome(records)
 
 
 def sharpen_description(

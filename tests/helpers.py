@@ -12,7 +12,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from tagcraft import (
-    ConfusionMatrix,
     Document,
     Stage,
     Taxonomy,
@@ -166,13 +165,12 @@ def scripted_docs(labels: Sequence[str], per_label: int) -> list[Document]:
 def validation_outcome(rows: Sequence[tuple[str, Document, str]]) -> ValidationOutcome:
     """The ValidationOutcome of (gold, document, predicted) rows, each
     prediction a ClassificationResult that scores only the predicted name."""
-    records, matrix = [], ConfusionMatrix()
+    records = []
     for gold, document, predicted in rows:
         scores = ScoreMap({predicted: 1.0}, ScoringPath.MOCK)
         item = ClassificationResult(document.id, predicted, scores)
         records.append(LabeledResult(gold, document, predicted, item))
-        matrix.record(gold, predicted)
-    return ValidationOutcome(records, matrix)
+    return ValidationOutcome(records)
 
 
 def make_taxonomy(pairs: Sequence[tuple[str, str]], stage: Stage = Stage.BOOTSTRAP) -> Taxonomy:

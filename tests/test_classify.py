@@ -6,7 +6,13 @@ import pytest
 
 from helpers import CappedBackend, StubBackend, make_taxonomy
 from tagcraft import Document, MockBackend, classify, classify_batch
-from tagcraft.classify import ClassificationFailure, ClassificationResult, argmax, classify_labeled
+from tagcraft.classify import (
+    ClassificationFailure,
+    ClassificationResult,
+    argmax,
+    classify_labeled,
+    tally,
+)
 from tagcraft.errors import ClassificationError, EmptyTaxonomyError, FallbackParseError, PromptBudgetError
 
 
@@ -131,7 +137,7 @@ def test_labeled_records_read_predictions_back_and_keep_failures_out_of_the_matr
         ("a", Document(id="2", text="brick1")),
         ("b", Document(id="3", text="   ")),
     ]
-    records, matrix = classify_labeled(labeled, taxonomy, mock_backend, {"a": "ALPHA"})
+    records = classify_labeled(labeled, taxonomy, mock_backend, {"a": "ALPHA"})
     # Alpha reads back to its label; Beta has none, so it keeps its name.
     assert [(r.gold, r.document.id, r.predicted) for r in records] == [
         ("a", "1", "a"),
@@ -140,6 +146,7 @@ def test_labeled_records_read_predictions_back_and_keep_failures_out_of_the_matr
     ]
     assert isinstance(records[0].item, ClassificationResult)
     assert isinstance(records[2].item, ClassificationFailure)
+    matrix = tally(records)
     assert matrix.counts == {("a", "a"): 1, ("a", "Beta"): 1}
     assert matrix.total == 2
 

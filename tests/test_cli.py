@@ -236,6 +236,21 @@ def test_run_command_persists_taxonomy_too(runner, tmp_path) -> None:
     assert (tmp_path / "runout" / "predictions.jsonl").exists()
 
 
+@pytest.mark.parametrize("labels", ["ClassA", [1, 2], ["ClassA", None]])
+def test_run_command_rejects_seen_labels_that_are_not_a_list_of_strings(
+    runner, corpus_csv, tmp_path, labels
+) -> None:
+    plan = write_plan(tmp_path / "plan.json", corpus_csv, seen=["ClassA"], unseen=[])
+    data = json.loads(plan.read_text(encoding="utf-8"))
+    data["seen_labels"] = labels
+    plan.write_text(json.dumps(data), encoding="utf-8")
+    result = runner.invoke(main, ["run", "--plan", str(plan), "--out", str(tmp_path / "runout")])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "error: invalid plan" in result.output
+    assert "seen_labels must be a list of strings" in result.output
+
+
 def test_unknown_subcommand_exits_two(runner) -> None:
     result = runner.invoke(main, ["frobnicate"])
     assert result.exit_code == 2

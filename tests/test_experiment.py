@@ -5,7 +5,7 @@ import json
 import pytest
 
 from helpers import class_vocab, keyword_documents, write_generic_csv, write_plan
-from tagcraft import MockBackend, RefinementConfig, use_templates
+from tagcraft import MockBackend, RefinementConfig, datasets, use_templates
 from tagcraft.errors import SchemaError
 from tagcraft.experiment import (
     DatasetKind,
@@ -66,6 +66,26 @@ def test_plan_rejects_duplicate_labels(corpus_csv, labels) -> None:
 def test_plan_rejects_counts_that_are_not_integers(corpus_csv, counts) -> None:
     with pytest.raises(TypeError, match=next(iter(counts))):
         _plan(corpus_csv, **counts)
+
+
+@pytest.mark.parametrize(
+    "kind, loader",
+    [
+        ("agnews", "load_agnews"),
+        (DatasetKind.DBPEDIA, "load_dbpedia"),
+        ("csv", "load_generic_csv"),
+    ],
+)
+def test_load_dataset_calls_the_loader_of_its_kind_through_the_module(
+    monkeypatch, kind, loader
+) -> None:
+    calls = []
+    for name in ("load_agnews", "load_dbpedia", "load_generic_csv"):
+        monkeypatch.setattr(datasets, name, lambda path, name=name: calls.append((name, path)) or [])
+    assert load_dataset(kind, "data.csv") == []
+    assert calls == [(loader, "data.csv")]
+    with pytest.raises(ValueError):
+        load_dataset("tsv", "data.csv")
 
 
 def test_preset_plans() -> None:
@@ -131,10 +151,10 @@ def test_accuracy_matches_recount_from_predictions(corpus_csv) -> None:
             )
 
 
-def test_a_test_document_that_fails_to_score_is_dropped_and_counted(corpus_csv, tmp_path) -> None:
-    plan = _plan(corpus_csv)
-    baseline = run_experiment(plan, MockBackend(seed=2), RefinementConfig(seed=5))
-    texts = {document.id: document.text for document in load_dataset(plan)}
+def _fails_on_one_seen_test_document(plan: ExperimentPlan, baseline) -> tuple[str, MockBackend]:
+    """The id of one seen test document of ``baseline``, and a mock that
+    fails to score that document and nothing else."""
+    texts = {document.id: document.text for document in load_dataset(plan.dataset, plan.data_path)}
     seen = [p for p in baseline.predictions if p.phase is EvalPhase.SEEN_ONLY]
     # A text no other document contains, so exactly one scoring request fails.
     target = next(
@@ -149,7 +169,15 @@ def test_a_test_document_that_fails_to_score_is_dropped_and_counted(corpus_csv, 
                 raise RuntimeError("scoring failed")
             return super().score_labels(request, candidates)
 
-    result = run_experiment(plan, FailsOnOneDocument(seed=2), RefinementConfig(seed=5))
+    return target, FailsOnOneDocument(seed=2)
+
+
+def test_a_test_document_that_fails_to_score_is_dropped_and_counted(corpus_csv, tmp_path) -> None:
+    plan = _plan(corpus_csv)
+    baseline = run_experiment(plan, MockBackend(seed=2), RefinementConfig(seed=5))
+    seen = [p for p in baseline.predictions if p.phase is EvalPhase.SEEN_ONLY]
+    target, backend = _fails_on_one_seen_test_document(plan, baseline)
+    result = run_experiment(plan, backend, RefinementConfig(seed=5))
     kept = [p for p in seen if p.document_id != target]
     assert result.phase1.n_failed == 1
     assert result.phase1.n_documents == len(seen) - 1
@@ -158,6 +186,24 @@ def test_a_test_document_that_fails_to_score_is_dropped_and_counted(corpus_csv, 
     lines = (tmp_path / "out" / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(lines) == len(baseline.predictions) - 2  # the document is in both phases
     assert all(json.loads(line)["id"] != target for line in lines)
+
+
+@pytest.mark.parametrize("fail_one", [False, True])
+def test_each_phase_keeps_a_record_per_test_document(corpus_csv, fail_one) -> None:
+    plan = _plan(corpus_csv)
+    result = run_experiment(plan, MockBackend(seed=2), RefinementConfig(seed=5))
+    if fail_one:
+        _, backend = _fails_on_one_seen_test_document(plan, result)
+        result = run_experiment(plan, backend, RefinementConfig(seed=5))
+    for report in (result.phase1, result.phase2):
+        assert len(report.records) == report.n_documents + report.n_failed
+        assert report.n_failed == int(fail_one)
+        kept = [(r.document.id, r.gold, r.predicted) for r in report.records if r.predicted is not None]
+        predictions = [p for p in result.predictions if p.phase is report.phase]
+        assert [(p.document_id, p.gold, p.predicted) for p in predictions] == kept
+    # Phase 2 tests the seen documents again, in the same order, then the unseen ones.
+    seen_ids = [r.document.id for r in result.phase1.records]
+    assert [r.document.id for r in result.phase2.records][: len(seen_ids)] == seen_ids
 
 
 def test_run_experiment_deterministic_given_seeds(corpus_csv) -> None:
@@ -303,6 +349,19 @@ def test_load_plan_rejects_counts_that_are_not_integers(tmp_path, corpus_csv, ke
         data["refinement"] = {key: value}
     plan_path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(SchemaError, match=key):
+        load_plan(plan_path)
+
+
+@pytest.mark.parametrize("value", ["ClassA", [1, 2], ["ClassA", None], {"ClassA": 1}])
+@pytest.mark.parametrize("key", ["seen_labels", "unseen_labels"])
+def test_load_plan_rejects_labels_that_are_not_a_list_of_strings(
+    tmp_path, corpus_csv, key, value
+) -> None:
+    plan_path = write_plan(tmp_path / "plan.json", corpus_csv, seen=["ClassB"], unseen=["ClassC"])
+    data = json.loads(plan_path.read_text(encoding="utf-8"))
+    data[key] = value
+    plan_path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"{key} must be a list of strings"):
         load_plan(plan_path)
 
 

@@ -219,6 +219,20 @@ def test_load_rejects_malformed_json(tmp_path) -> None:
         load_taxonomy(path)
 
 
+@pytest.mark.parametrize("value", [2.9, 2.0, True, "3", None])
+@pytest.mark.parametrize("key", ["version", "iteration"])
+def test_load_rejects_version_and_iteration_that_are_not_integers(tmp_path, key, value) -> None:
+    data = _dump(_tax(("Alpha", "one")))
+    if key == "version":
+        data["version"] = value
+    else:
+        data["categories"][0]["history"][0]["iteration"] = value
+    path = tmp_path / "tax.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"{key} must be an integer"):
+        load_taxonomy(path)
+
+
 def test_load_rejects_mismatched_current_descriptor(tmp_path) -> None:
     data = {
         "version": 1,
