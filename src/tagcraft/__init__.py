@@ -18,12 +18,11 @@ from .backends import (
     ScoreMap,
     ScoringPath,
 )
-from .classify import ClassificationFailure, ClassificationResult, classify, classify_batch
+from .classify import ClassificationFailure, ClassificationResult, EvalReport, classify, classify_batch
 from .describe import SamplePlan, bootstrap_category, bootstrap_taxonomy, contrast_taxonomy, sample_bootstrap
 from .experiment import (
     DatasetKind,
     EvalPhase,
-    EvalReport,
     ExperimentPlan,
     ExperimentResult,
     preset_plan,
@@ -50,7 +49,6 @@ from .refine import (
     ConfusionPair,
     RefinementReport,
     StopReason,
-    ValidationOutcome,
     adapt_pair,
     mine_confusion_pairs,
     refine_description,
@@ -88,7 +86,6 @@ __all__ = [
     "Taxonomy",
     "TemplateId",
     "TopicDescriptor",
-    "ValidationOutcome",
     "add_topic",
     "adapt_pair",
     "bootstrap_category",

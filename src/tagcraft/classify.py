@@ -45,6 +45,36 @@ class LabeledResult:
     item: BatchItem
 
 
+@dataclass
+class EvalReport:
+    """One labeled pass (validation or a test phase): a record per document,
+    in input order; the other fields are computed once from them."""
+
+    records: list[LabeledResult]
+    matrix: ConfusionMatrix = field(init=False)
+    overall_accuracy: float = field(init=False)
+    per_class_accuracy: dict[str, float] = field(init=False)
+    n_documents: int = field(init=False)
+    n_failed: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.matrix = tally(self.records)
+        self.overall_accuracy = self.matrix.overall_accuracy()
+        self.per_class_accuracy = self.matrix.per_category_accuracy()
+        self.n_documents = self.matrix.total
+        self.n_failed = len(self.records) - self.n_documents
+
+    def samples(
+        self, gold: str, predicted: str | None = None
+    ) -> tuple[list[Document], list[Document]]:
+        """The documents of ``gold`` classified right, and those classified
+        wrong (as ``predicted`` only, if given), in input order."""
+        own = [r for r in self.records if r.gold == gold]
+        right = [r.document for r in own if r.predicted == gold]
+        missed = [r for r in own if r.predicted != gold]
+        return right, [r.document for r in missed if predicted in (None, r.predicted)]
+
+
 def descriptor_block(taxonomy: Taxonomy) -> str:
     """One "- Name: description" line per category, in taxonomy order."""
     return "\n".join(
@@ -120,11 +150,11 @@ def classify_labeled(
     taxonomy: Taxonomy,
     backend: Backend,
     label_names: Mapping[str, str] | None = None,
-) -> list[LabeledResult]:
-    """Classify (gold, document) pairs with classify_batch; return one record
-    per document, in input order. ``label_names`` (label -> category name)
-    reads each prediction back to its label; a name no label maps to stays
-    as it is."""
+) -> EvalReport:
+    """Classify (gold, document) pairs with classify_batch; the report holds
+    one record per document, in input order. ``label_names`` (label ->
+    category name) reads each prediction back to its label; a name no label
+    maps to stays as it is."""
     label_of = {name_key(name): label for label, name in (label_names or {}).items()}
     items = classify_batch([document for _, document in labeled], taxonomy, backend)
     records = []
@@ -133,7 +163,7 @@ def classify_labeled(
         if isinstance(item, ClassificationResult):
             predicted = label_of.get(name_key(item.predicted), item.predicted)
         records.append(LabeledResult(gold, document, predicted, item))
-    return records
+    return EvalReport(records)
 
 
 def tally(records: Iterable[LabeledResult]) -> ConfusionMatrix:

@@ -31,6 +31,7 @@ from .model import (
     TopicDescriptor,
     group_by_label,
     load_taxonomy,
+    name_key,
     save_taxonomy,
 )
 from .prompts import use_templates
@@ -316,6 +317,8 @@ def add_topic_cmd(state: CliState, taxonomy_path, name, description, from_json, 
 def revise_topic_cmd(state: CliState, taxonomy_path, name, description, from_json, samples_path, with_contrast, out_path):
     """Revise an existing category's description in natural language."""
     descriptor = _read_descriptor_options(name, description, from_json)
+    if name_key(descriptor.topic_name) != name_key(name):
+        raise click.UsageError(f"--from-json describes {descriptor.topic_name!r}, not --name {name!r}")
     taxonomy = load_taxonomy(taxonomy_path)
     backend = state.make_backend()
     result = revise_topic(

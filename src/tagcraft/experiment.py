@@ -2,12 +2,13 @@
 introduce the unseen classes, evaluate again, and report the accuracy shift.
 
 Validation and both test phases classify labeled documents along one path,
-``classify.classify_labeled``, and read their matrices from its records
-with ``classify.tally``. Generated category names replace the source
-labels internally (documents are relabeled for validation); test predictions
-are read back through the label mapping, so every report is in the dataset's
-own label space. A test document that fails to classify only counts in
-``n_failed``, where a validation failure aborts the refinement loop.
+``classify.classify_labeled``, and each is the ``EvalReport`` it returns:
+the records, and the matrix and accuracies tallied from them. Generated
+category names replace the source labels internally (documents are
+relabeled for validation); test predictions are read back through the label
+mapping, so every report is in the dataset's own label space. A test
+document that fails to classify only counts in ``n_failed``, where a
+validation failure aborts the refinement loop.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import datasets
 from .backends.base import Backend
-from .classify import LabeledResult, classify_labeled, tally
+from .classify import EvalReport, classify_labeled, tally
 from .datasets import AGNEWS_LABELS, DBPEDIA_LABELS, split_seen_unseen
 from .describe import SamplePlan, bootstrap_taxonomy, contrast_taxonomy
 from .errors import SchemaError
@@ -63,6 +64,11 @@ class ExperimentPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for key in ("seen_labels", "unseen_labels"):
+            labels = getattr(self, key)
+            if not isinstance(labels, (list, tuple)) or not all(isinstance(x, str) for x in labels):
+                raise TypeError(f"{key} must be a list of strings, got {labels!r}")
+            object.__setattr__(self, key, tuple(labels))
         for key in ("n_bootstrap", "m_validate", "test_per_class", "seed"):
             require_int(key, getattr(self, key))
         if not self.seen_labels:
@@ -78,27 +84,6 @@ class ExperimentPlan:
 
 
 @dataclass
-class EvalReport:
-    """One test phase: a record per document, in test order and in the
-    dataset's label space; the other fields are computed once from them."""
-
-    phase: EvalPhase
-    records: list[LabeledResult]
-    matrix: ConfusionMatrix = field(init=False)
-    overall_accuracy: float = field(init=False)
-    per_class_accuracy: dict[str, float] = field(init=False)
-    n_documents: int = field(init=False)
-    n_failed: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.matrix = tally(self.records)
-        self.overall_accuracy = self.matrix.overall_accuracy()
-        self.per_class_accuracy = self.matrix.per_category_accuracy()
-        self.n_documents = self.matrix.total
-        self.n_failed = len(self.records) - self.n_documents
-
-
-@dataclass
 class PredictionRecord:
     document_id: str
     gold: str
@@ -108,6 +93,9 @@ class PredictionRecord:
 
 @dataclass
 class ExperimentResult:
+    """``phase1`` is the EvalPhase.SEEN_ONLY test, ``phase2`` the
+    EvalPhase.AFTER_UNSEEN one, both in the dataset's label space."""
+
     plan: ExperimentPlan
     config: RefinementConfig
     label_names: dict[str, str]
@@ -122,8 +110,11 @@ class ExperimentResult:
         """The test predictions of both phases, in test order; a document
         that failed to classify has none."""
         return [
-            PredictionRecord(r.document.id, r.gold, r.predicted, report.phase)
-            for report in (self.phase1, self.phase2)
+            PredictionRecord(r.document.id, r.gold, r.predicted, phase)
+            for phase, report in (
+                (EvalPhase.SEEN_ONLY, self.phase1),
+                (EvalPhase.AFTER_UNSEEN, self.phase2),
+            )
             for r in report.records
             if r.predicted is not None
         ]
@@ -144,8 +135,8 @@ def preset_plan(kind: DatasetKind | str, data_path: str, **overrides) -> Experim
     return ExperimentPlan(
         dataset=kind,
         data_path=data_path,
-        seen_labels=tuple(seen),
-        unseen_labels=tuple(unseen),
+        seen_labels=seen,
+        unseen_labels=unseen,
         **overrides,
     )
 
@@ -180,8 +171,8 @@ def load_plan(path: str | Path) -> tuple[ExperimentPlan, RefinementConfig]:
         plan = ExperimentPlan(
             dataset=DatasetKind(data["dataset"]),
             data_path=data["data_path"],
-            seen_labels=_labels("seen_labels", data["seen_labels"]),
-            unseen_labels=_labels("unseen_labels", data.get("unseen_labels", [])),
+            seen_labels=data["seen_labels"],
+            unseen_labels=data.get("unseen_labels", []),
             **{key: data[key] for key in counts if key in data},
         )
         refinement = data.get("refinement", {})
@@ -194,13 +185,6 @@ def load_plan(path: str | Path) -> tuple[ExperimentPlan, RefinementConfig]:
     except (KeyError, TypeError, ValueError) as err:
         raise SchemaError(f"invalid plan {path}: {err}") from err
     return plan, config
-
-
-def _labels(key: str, value: object) -> tuple[str, ...]:
-    """``value`` as a tuple if it is a list of strings, else a TypeError naming ``key``."""
-    if not isinstance(value, list) or not all(isinstance(label, str) for label in value):
-        raise TypeError(f"{key} must be a list of strings, got {value!r}")
-    return tuple(value)
 
 
 def run_experiment(
@@ -257,9 +241,7 @@ def run_experiment(
     checkpoint(taxonomy)
 
     seen_test = [(label, doc) for label in plan.seen_labels for doc in split.seen_test[label]]
-    phase1 = EvalReport(
-        EvalPhase.SEEN_ONLY, classify_labeled(seen_test, taxonomy, backend, label_names)
-    )
+    phase1 = classify_labeled(seen_test, taxonomy, backend, label_names)
 
     for label in plan.unseen_labels:
         rough = TopicDescriptor(label, f"Documents about {label}.")
@@ -274,10 +256,7 @@ def run_experiment(
         checkpoint(taxonomy)
 
     unseen_test = [(label, doc) for label in plan.unseen_labels for doc in split.unseen_test[label]]
-    phase2 = EvalReport(
-        EvalPhase.AFTER_UNSEEN,
-        classify_labeled(seen_test + unseen_test, taxonomy, backend, label_names),
-    )
+    phase2 = classify_labeled(seen_test + unseen_test, taxonomy, backend, label_names)
 
     seen = tally(r for r in phase2.records if r.gold in plan.seen_labels)
     seen_accuracy = seen.overall_accuracy() if seen.total else phase1.overall_accuracy
@@ -303,9 +282,9 @@ def _matrix_to_dict(matrix: ConfusionMatrix) -> dict:
     }
 
 
-def _report_to_dict(report: EvalReport) -> dict:
+def _report_to_dict(phase: EvalPhase, report: EvalReport) -> dict:
     return {
-        "phase": report.phase.value,
+        "phase": phase.value,
         "overall_accuracy": report.overall_accuracy,
         "per_class_accuracy": report.per_class_accuracy,
         "matrix": _matrix_to_dict(report.matrix),
@@ -328,8 +307,8 @@ def result_to_dict(result: ExperimentResult) -> dict:
         "config": config_dict,
         "config_sha256": fingerprint,
         "label_names": result.label_names,
-        "phase1": _report_to_dict(result.phase1),
-        "phase2": _report_to_dict(result.phase2),
+        "phase1": _report_to_dict(EvalPhase.SEEN_ONLY, result.phase1),
+        "phase2": _report_to_dict(EvalPhase.AFTER_UNSEEN, result.phase2),
         "accuracy_shift": result.accuracy_shift,
         "refinement": asdict(result.refinement),
     }

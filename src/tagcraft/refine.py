@@ -21,7 +21,7 @@ from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from .backends.base import Backend
-from .classify import LabeledResult, classify_labeled, tally
+from .classify import EvalReport, classify_labeled
 from .errors import (
     MissingSamplesError,
     RefinementAbortedError,
@@ -45,28 +45,6 @@ from .prompts import TemplateId, format_sample_block, render
 from .runlog import RunLog, prompt_sha256
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class ValidationOutcome:
-    """One validation pass: a record per document, gold and prediction both
-    category names; ``matrix`` is their tally."""
-
-    records: list[LabeledResult]
-    matrix: ConfusionMatrix = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.matrix = tally(self.records)
-
-    def samples(
-        self, gold: str, predicted: str | None = None
-    ) -> tuple[list[Document], list[Document]]:
-        """The documents of category ``gold`` classified right, and those
-        classified wrong (as ``predicted`` only, if given), in validation order."""
-        own = [r for r in self.records if r.gold == gold]
-        right = [r.document for r in own if r.predicted == gold]
-        missed = [r for r in own if r.predicted != gold]
-        return right, [r.document for r in missed if predicted in (None, r.predicted)]
 
 
 @dataclass(frozen=True)
@@ -106,32 +84,32 @@ def validate_category_set(
     taxonomy: Taxonomy,
     validation_docs: Sequence[Document],
     backend: Backend,
-) -> ValidationOutcome:
+) -> EvalReport:
     """Classify every validation document against the taxonomy snapshot,
-    its gold label read as the category it names case-insensitively.
+    its gold label read as the category it names case-insensitively, so
+    gold and prediction are both category names.
 
     Categories with no validation documents are reported via a warning, not
     an error. The first document that fails to classify raises its error.
     """
-    canonical = {name_key(name): name for name in taxonomy.names()}
     labeled: list[tuple[str, Document]] = []
     for document in validation_docs:
         label = document.gold_label
-        gold = canonical.get(name_key(label)) if label and label.strip() else None
-        if gold is None:
+        category = taxonomy.get(label) if label and label.strip() else None
+        if category is None:
             raise UnknownGoldLabelError(document.id, label)
-        labeled.append((gold, document))
+        labeled.append((category.name, document))
 
     covered = {gold for gold, _ in labeled}
     for name in taxonomy.names():
         if name not in covered:
             logger.warning("category %r has no validation documents", name)
 
-    records = classify_labeled(labeled, taxonomy, backend)
-    for record in records:
+    outcome = classify_labeled(labeled, taxonomy, backend)
+    for record in outcome.records:
         if record.predicted is None:
             raise record.item.exception
-    return ValidationOutcome(records)
+    return outcome
 
 
 def sharpen_description(
@@ -218,7 +196,7 @@ def mine_confusion_pairs(
 
 def adapt_pair(
     pair: ConfusionPair,
-    outcome: ValidationOutcome,
+    outcome: EvalReport,
     taxonomy: Taxonomy,
     backend: Backend,
     *,
@@ -308,7 +286,7 @@ def refine_loop(
         docs = _validation_subset(validation_docs, config)
         for iteration in range(1, config.max_iterations + 1):
             outcome = validate_category_set(current, docs, backend)
-            accuracies = outcome.matrix.per_category_accuracy()
+            accuracies = outcome.per_class_accuracy
             minimum = min(accuracies.values(), default=1.0)
             if log:
                 log.emit("validate", iteration=iteration, accuracy=minimum)
@@ -320,12 +298,12 @@ def refine_loop(
             pairs = mine_confusion_pairs(
                 outcome.matrix, config.min_confusion_count, config.top_k_pairs
             )
-            adapted = {name_key(pair.correct) for pair in pairs}
+            adapted = {pair.correct for pair in pairs}
             refines = [
                 category
                 for category in current.categories
                 if accuracies.get(category.name, 1.0) < config.accuracy_threshold
-                and name_key(category.name) not in adapted
+                and category.name not in adapted
             ]
             jobs = []
             for category in refines:

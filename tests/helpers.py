@@ -26,9 +26,8 @@ from tagcraft.backends.base import (
     ScoringPath,
     check_candidates,
 )
-from tagcraft.classify import ClassificationResult, LabeledResult
+from tagcraft.classify import ClassificationResult, EvalReport, LabeledResult
 from tagcraft.extraction import extract_descriptor_set
-from tagcraft.refine import ValidationOutcome
 
 CANNED_DESCRIPTOR = '{"topic_name": "Scripted", "topic_description": "scripted update"}'
 
@@ -162,15 +161,15 @@ def scripted_docs(labels: Sequence[str], per_label: int) -> list[Document]:
     ]
 
 
-def validation_outcome(rows: Sequence[tuple[str, Document, str]]) -> ValidationOutcome:
-    """The ValidationOutcome of (gold, document, predicted) rows, each
+def validation_outcome(rows: Sequence[tuple[str, Document, str]]) -> EvalReport:
+    """The validation EvalReport of (gold, document, predicted) rows, each
     prediction a ClassificationResult that scores only the predicted name."""
     records = []
     for gold, document, predicted in rows:
         scores = ScoreMap({predicted: 1.0}, ScoringPath.MOCK)
         item = ClassificationResult(document.id, predicted, scores)
         records.append(LabeledResult(gold, document, predicted, item))
-    return ValidationOutcome(records)
+    return EvalReport(records)
 
 
 def make_taxonomy(pairs: Sequence[tuple[str, str]], stage: Stage = Stage.BOOTSTRAP) -> Taxonomy:

@@ -11,7 +11,6 @@ from tagcraft.classify import (
     ClassificationResult,
     argmax,
     classify_labeled,
-    tally,
 )
 from tagcraft.errors import ClassificationError, EmptyTaxonomyError, FallbackParseError, PromptBudgetError
 
@@ -137,7 +136,8 @@ def test_labeled_records_read_predictions_back_and_keep_failures_out_of_the_matr
         ("a", Document(id="2", text="brick1")),
         ("b", Document(id="3", text="   ")),
     ]
-    records = classify_labeled(labeled, taxonomy, mock_backend, {"a": "ALPHA"})
+    report = classify_labeled(labeled, taxonomy, mock_backend, {"a": "ALPHA"})
+    records = report.records
     # Alpha reads back to its label; Beta has none, so it keeps its name.
     assert [(r.gold, r.document.id, r.predicted) for r in records] == [
         ("a", "1", "a"),
@@ -146,9 +146,9 @@ def test_labeled_records_read_predictions_back_and_keep_failures_out_of_the_matr
     ]
     assert isinstance(records[0].item, ClassificationResult)
     assert isinstance(records[2].item, ClassificationFailure)
-    matrix = tally(records)
-    assert matrix.counts == {("a", "a"): 1, ("a", "Beta"): 1}
-    assert matrix.total == 2
+    assert report.matrix.counts == {("a", "a"): 1, ("a", "Beta"): 1}
+    assert report.matrix.total == 2
+    assert (report.n_documents, report.n_failed) == (2, 1)
 
 
 def test_empty_batch_is_empty_list(mock_backend: MockBackend) -> None:

@@ -206,6 +206,27 @@ def test_add_and_revise_topic_commands(runner, corpus_csv, tmp_path) -> None:
     assert len(taxonomy.get("Cloud_Issues").history) == 2
 
 
+def test_revise_topic_from_json_naming_another_category_is_a_usage_error(
+    runner, corpus_csv, tmp_path, monkeypatch
+) -> None:
+    out = _bootstrap(runner, corpus_csv, tmp_path)
+    before = out.read_bytes()
+    alpha, beta = load_taxonomy(out).names()[:2]
+    source = tmp_path / "topic.json"
+    source.write_text(json.dumps({"topic_name": beta, "topic_description": "x"}), encoding="utf-8")
+
+    def no_backend(state):
+        raise AssertionError("no backend may be made")
+
+    monkeypatch.setattr(CliState, "make_backend", no_backend)
+    result = runner.invoke(
+        main, ["revise-topic", "--taxonomy", str(out), "--name", alpha, "--from-json", str(source)]
+    )
+    assert result.exit_code == 2, result.output
+    assert beta in result.output
+    assert out.read_bytes() == before
+
+
 def test_add_topic_duplicate_exits_nonzero_with_json_error(runner, corpus_csv, tmp_path) -> None:
     out = _bootstrap(runner, corpus_csv, tmp_path)
     args = [

@@ -59,6 +59,17 @@ def test_plan_rejects_duplicate_labels(corpus_csv, labels) -> None:
         _plan(corpus_csv, **labels)
 
 
+def test_plan_checks_its_labels_and_stores_them_as_tuples(corpus_csv) -> None:
+    with pytest.raises(TypeError, match="seen_labels must be a list of strings"):
+        _plan(corpus_csv, seen_labels="ClassA")
+    with pytest.raises(TypeError, match="unseen_labels must be a list of strings"):
+        _plan(corpus_csv, unseen_labels=(1, 2))
+    listed = _plan(corpus_csv, seen_labels=["ClassA", "ClassB"], unseen_labels=["ClassD"])
+    assert listed.seen_labels == ("ClassA", "ClassB")
+    assert listed.unseen_labels == ("ClassD",)
+    assert hash(listed) == hash(_plan(corpus_csv, seen_labels=("ClassA", "ClassB")))
+
+
 @pytest.mark.parametrize(
     "counts",
     [{"m_validate": 2.5}, {"test_per_class": True}, {"n_bootstrap": "8"}, {"seed": None}],
@@ -99,8 +110,9 @@ def test_preset_plans() -> None:
 
 def test_run_experiment_produces_both_phases(corpus_csv) -> None:
     result = run_experiment(_plan(corpus_csv), MockBackend(seed=2), RefinementConfig(seed=5))
-    assert result.phase1.phase is EvalPhase.SEEN_ONLY
-    assert result.phase2.phase is EvalPhase.AFTER_UNSEEN
+    report = result_to_dict(result)
+    assert report["phase1"]["phase"] == EvalPhase.SEEN_ONLY.value
+    assert report["phase2"]["phase"] == EvalPhase.AFTER_UNSEEN.value
     assert result.phase1.n_documents == 60
     assert result.phase2.n_documents == 80
     assert set(result.phase2.per_class_accuracy) == {"ClassA", "ClassB", "ClassC", "ClassD"}
@@ -195,11 +207,11 @@ def test_each_phase_keeps_a_record_per_test_document(corpus_csv, fail_one) -> No
     if fail_one:
         _, backend = _fails_on_one_seen_test_document(plan, result)
         result = run_experiment(plan, backend, RefinementConfig(seed=5))
-    for report in (result.phase1, result.phase2):
+    for phase, report in ((EvalPhase.SEEN_ONLY, result.phase1), (EvalPhase.AFTER_UNSEEN, result.phase2)):
         assert len(report.records) == report.n_documents + report.n_failed
         assert report.n_failed == int(fail_one)
         kept = [(r.document.id, r.gold, r.predicted) for r in report.records if r.predicted is not None]
-        predictions = [p for p in result.predictions if p.phase is report.phase]
+        predictions = [p for p in result.predictions if p.phase is phase]
         assert [(p.document_id, p.gold, p.predicted) for p in predictions] == kept
     # Phase 2 tests the seen documents again, in the same order, then the unseen ones.
     seen_ids = [r.document.id for r in result.phase1.records]
