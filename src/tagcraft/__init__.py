@@ -31,7 +31,6 @@ from .experiment import (
 from .extraction import extract_descriptor, extract_descriptor_set
 from .model import (
     Category,
-    ConfusionMatrix,
     Document,
     Provenance,
     RefinementConfig,
@@ -63,7 +62,6 @@ __all__ = [
     "Category",
     "ClassificationFailure",
     "ClassificationResult",
-    "ConfusionMatrix",
     "ConfusionPair",
     "DatasetKind",
     "Document",

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .backends.base import Backend, ScoreMap
 from .errors import ClassificationError, EmptyTaxonomyError, FallbackParseError, PromptBudgetError
 from .fanout import ordered_map
-from .model import ConfusionMatrix, Document, Taxonomy, name_key
+from .model import Document, Taxonomy, name_key
 from .prompts import TemplateId, render
 
 # Classification prompts are never truncated; past this budget they fail loudly.
@@ -48,21 +49,30 @@ class LabeledResult:
 @dataclass
 class EvalReport:
     """One labeled pass (validation or a test phase): a record per document,
-    in input order; the other fields are computed once from them."""
+    in input order. ``matrix`` counts the (gold, predicted) pairs of the
+    documents that did not fail, in first-seen order; the accuracies and
+    counts are derived from it once."""
 
     records: list[LabeledResult]
-    matrix: ConfusionMatrix = field(init=False)
+    matrix: dict[tuple[str, str], int] = field(init=False)
     overall_accuracy: float = field(init=False)
     per_class_accuracy: dict[str, float] = field(init=False)
     n_documents: int = field(init=False)
     n_failed: int = field(init=False)
 
     def __post_init__(self) -> None:
-        self.matrix = tally(self.records)
-        self.overall_accuracy = self.matrix.overall_accuracy()
-        self.per_class_accuracy = self.matrix.per_category_accuracy()
-        self.n_documents = self.matrix.total
+        pairs = ((r.gold, r.predicted) for r in self.records if r.predicted is not None)
+        self.matrix = dict(Counter(pairs))
+        hits: Counter[str] = Counter()
+        totals: Counter[str] = Counter()
+        for (gold, predicted), n in self.matrix.items():
+            totals[gold] += n
+            if gold == predicted:
+                hits[gold] += n
+        self.n_documents = sum(totals.values())
         self.n_failed = len(self.records) - self.n_documents
+        self.per_class_accuracy = {gold: hits[gold] / totals[gold] for gold in sorted(totals)}
+        self.overall_accuracy = sum(hits.values()) / self.n_documents if self.n_documents else 0.0
 
     def samples(
         self, gold: str, predicted: str | None = None
@@ -164,12 +174,3 @@ def classify_labeled(
             predicted = label_of.get(name_key(item.predicted), item.predicted)
         records.append(LabeledResult(gold, document, predicted, item))
     return EvalReport(records)
-
-
-def tally(records: Iterable[LabeledResult]) -> ConfusionMatrix:
-    """The confusion matrix of the records whose document did not fail."""
-    matrix = ConfusionMatrix()
-    for record in records:
-        if record.predicted is not None:
-            matrix.record(record.gold, record.predicted)
-    return matrix

@@ -253,7 +253,10 @@ def classify(state: CliState, taxonomy_path, text, file_path, verbose):
 
 def _read_descriptor_options(name, description, from_json):
     if from_json:
-        return extract_descriptor(Path(from_json).read_text(encoding="utf-8"))
+        descriptor = extract_descriptor(Path(from_json).read_text(encoding="utf-8"))
+        if name is not None and name_key(descriptor.topic_name) != name_key(name):
+            raise click.UsageError(f"--from-json describes {descriptor.topic_name!r}, not --name {name!r}")
+        return descriptor
     if name is None:
         raise click.UsageError("provide --name (with --description) or --from-json")
     if description is None:
@@ -317,8 +320,6 @@ def add_topic_cmd(state: CliState, taxonomy_path, name, description, from_json, 
 def revise_topic_cmd(state: CliState, taxonomy_path, name, description, from_json, samples_path, with_contrast, out_path):
     """Revise an existing category's description in natural language."""
     descriptor = _read_descriptor_options(name, description, from_json)
-    if name_key(descriptor.topic_name) != name_key(name):
-        raise click.UsageError(f"--from-json describes {descriptor.topic_name!r}, not --name {name!r}")
     taxonomy = load_taxonomy(taxonomy_path)
     backend = state.make_backend()
     result = revise_topic(

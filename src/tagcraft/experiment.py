@@ -3,7 +3,7 @@ introduce the unseen classes, evaluate again, and report the accuracy shift.
 
 Validation and both test phases classify labeled documents along one path,
 ``classify.classify_labeled``, and each is the ``EvalReport`` it returns:
-the records, and the matrix and accuracies tallied from them. Generated
+the records, and the matrix and accuracies counted from them. Generated
 category names replace the source labels internally (documents are
 relabeled for validation); test predictions are read back through the label
 mapping, so every report is in the dataset's own label space. A test
@@ -21,13 +21,12 @@ from pathlib import Path
 
 from . import datasets
 from .backends.base import Backend
-from .classify import EvalReport, classify_labeled, tally
+from .classify import EvalReport, classify_labeled
 from .datasets import AGNEWS_LABELS, DBPEDIA_LABELS, split_seen_unseen
 from .describe import SamplePlan, bootstrap_taxonomy, contrast_taxonomy
 from .errors import SchemaError
 from .fileio import write_text_atomic
 from .model import (
-    ConfusionMatrix,
     Document,
     RefinementConfig,
     SamplingStrategy,
@@ -258,8 +257,8 @@ def run_experiment(
     unseen_test = [(label, doc) for label in plan.unseen_labels for doc in split.unseen_test[label]]
     phase2 = classify_labeled(seen_test + unseen_test, taxonomy, backend, label_names)
 
-    seen = tally(r for r in phase2.records if r.gold in plan.seen_labels)
-    seen_accuracy = seen.overall_accuracy() if seen.total else phase1.overall_accuracy
+    seen = EvalReport([r for r in phase2.records if r.gold in plan.seen_labels])
+    seen_accuracy = seen.overall_accuracy if seen.n_documents else phase1.overall_accuracy
     return ExperimentResult(
         plan=plan,
         config=config,
@@ -272,12 +271,11 @@ def run_experiment(
     )
 
 
-def _matrix_to_dict(matrix: ConfusionMatrix) -> dict:
+def _matrix_to_dict(report: EvalReport) -> dict:
     return {
-        "total": matrix.total,
+        "total": report.n_documents,
         "counts": [
-            [gold, predicted, count]
-            for (gold, predicted), count in sorted(matrix.counts.items())
+            [gold, predicted, count] for (gold, predicted), count in sorted(report.matrix.items())
         ],
     }
 
@@ -287,7 +285,7 @@ def _report_to_dict(phase: EvalPhase, report: EvalReport) -> dict:
         "phase": phase.value,
         "overall_accuracy": report.overall_accuracy,
         "per_class_accuracy": report.per_class_accuracy,
-        "matrix": _matrix_to_dict(report.matrix),
+        "matrix": _matrix_to_dict(report),
         "n_documents": report.n_documents,
         "n_failed": report.n_failed,
     }

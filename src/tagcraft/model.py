@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -231,34 +231,6 @@ class Document:
     id: str
     text: str
     gold_label: str | None = None
-
-
-@dataclass
-class ConfusionMatrix:
-    """Counts of (gold, predicted) pairs from a validation or test pass."""
-
-    counts: dict[tuple[str, str], int] = field(default_factory=dict)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def record(self, gold: str, predicted: str, n: int = 1) -> None:
-        self.counts[(gold, predicted)] = self.counts.get((gold, predicted), 0) + n
-
-    def per_category_accuracy(self) -> dict[str, float]:
-        hits: dict[str, int] = {}
-        totals: dict[str, int] = {}
-        for (gold, predicted), n in self.counts.items():
-            hits[gold] = hits.get(gold, 0) + (n if gold == predicted else 0)
-            totals[gold] = totals.get(gold, 0) + n
-        return {gold: hits[gold] / totals[gold] for gold in sorted(totals)}
-
-    def overall_accuracy(self) -> float:
-        if self.total == 0:
-            return 0.0
-        diagonal = sum(n for (g, p), n in self.counts.items() if g == p)
-        return diagonal / self.total
 
 
 def require_int(key: str, value: object) -> int:

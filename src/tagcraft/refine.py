@@ -32,7 +32,6 @@ from .extraction import descriptor_to_json, request_descriptor
 from .fanout import ordered_map
 from .model import (
     Category,
-    ConfusionMatrix,
     Document,
     RefinementConfig,
     Stage,
@@ -180,14 +179,16 @@ def refine_description(
 
 
 def mine_confusion_pairs(
-    matrix: ConfusionMatrix, min_count: int, top_k: int
+    matrix: Mapping[tuple[str, str], int], min_count: int, top_k: int
 ) -> list[ConfusionPair]:
-    """All off-diagonal cells with count >= min_count, sorted by descending
-    count then (gold, predicted) name order, truncated to top_k.
+    """The off-diagonal cells of ``matrix``, a (gold, predicted) -> count
+    mapping such as ``EvalReport.matrix``, with count >= min_count, sorted
+    by descending count then (gold, predicted) name order, truncated to
+    top_k.
     """
     cells = [
         (gold, predicted, count)
-        for (gold, predicted), count in matrix.counts.items()
+        for (gold, predicted), count in matrix.items()
         if gold != predicted and count >= min_count
     ]
     cells.sort(key=lambda cell: (-cell[2], cell[0], cell[1]))

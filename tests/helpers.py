@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import importlib
 import json
 import random
 import re
+import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from tagcraft import (
     Document,
@@ -28,6 +31,8 @@ from tagcraft.backends.base import (
 )
 from tagcraft.classify import ClassificationResult, EvalReport, LabeledResult
 from tagcraft.extraction import extract_descriptor_set
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 CANNED_DESCRIPTOR = '{"topic_name": "Scripted", "topic_description": "scripted update"}'
 
@@ -371,3 +376,18 @@ DESCRIPTOR_FIXTURES_BAD: list[str] = [
     "Totally {unbalanced prose",
     '{"foo": 1} {"topic_name": "Second_Object", "topic_description": "First object decides."}',
 ]
+
+
+@contextlib.contextmanager
+def bench_modules(*names: str) -> Iterator[tuple]:
+    """The named ``bench/`` modules, imported with ``bench/`` on sys.path; on
+    exit the path and the module table are restored."""
+    saved = list(sys.path)
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        yield tuple(importlib.import_module(name) for name in names)
+    finally:
+        sys.path[:] = saved
+        for name, module in list(sys.modules.items()):
+            if Path(getattr(module, "__file__", None) or "/").parent == BENCH_DIR:
+                del sys.modules[name]

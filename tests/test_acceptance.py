@@ -30,7 +30,6 @@ from helpers import (
     write_plan,
 )
 from tagcraft import (
-    ConfusionMatrix,
     ConfusionPair,
     Document,
     MockBackend,
@@ -141,17 +140,17 @@ def test_criterion_3_confusion_mining_matches_bruteforce() -> None:
     for _ in range(trials):
         size = rng.randint(2, 10)
         labels = [f"K{i}" for i in range(size)]
-        matrix = ConfusionMatrix()
+        matrix = {}
         for gold in labels:
             for predicted in labels:
                 count = rng.randrange(0, 6)
                 if count:
-                    matrix.record(gold, predicted, count)
+                    matrix[(gold, predicted)] = count
         min_count = rng.randint(1, 4)
         top_k = rng.randint(1, 6)
         # independent oracle: repeated best-cell extraction
         remaining = [
-            (g, p, c) for (g, p), c in matrix.counts.items() if g != p and c >= min_count
+            (g, p, c) for (g, p), c in matrix.items() if g != p and c >= min_count
         ]
         expected: list[ConfusionPair] = []
         while remaining and len(expected) < top_k:

@@ -6,27 +6,18 @@ fails here. The HTTP workload is left out: it starts a server process."""
 from __future__ import annotations
 
 import importlib
-import sys
 from pathlib import Path
 
 import pytest
 
-BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+from helpers import bench_modules
 
 
 @pytest.fixture(scope="module")
 def bench():
-    """The bench's ``spans`` and ``workloads`` modules, imported with
-    ``bench/`` on sys.path; the path and the module table are restored."""
-    saved = list(sys.path)
-    sys.path.insert(0, str(BENCH_DIR))
-    try:
-        yield importlib.import_module("spans"), importlib.import_module("workloads")
-    finally:
-        sys.path[:] = saved
-        for name, module in list(sys.modules.items()):
-            if Path(getattr(module, "__file__", None) or "/").parent == BENCH_DIR:
-                del sys.modules[name]
+    """The bench's ``spans`` and ``workloads`` modules (see bench_modules)."""
+    with bench_modules("spans", "workloads") as modules:
+        yield modules
 
 
 def test_every_span_target_resolves_to_a_callable(bench) -> None:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import CappedBackend, StubBackend, make_taxonomy
+from helpers import CappedBackend, StubBackend, make_taxonomy, validation_outcome
 from tagcraft import Document, MockBackend, classify, classify_batch
 from tagcraft.classify import (
     ClassificationFailure,
@@ -146,9 +146,23 @@ def test_labeled_records_read_predictions_back_and_keep_failures_out_of_the_matr
     ]
     assert isinstance(records[0].item, ClassificationResult)
     assert isinstance(records[2].item, ClassificationFailure)
-    assert report.matrix.counts == {("a", "a"): 1, ("a", "Beta"): 1}
-    assert report.matrix.total == 2
+    assert report.matrix == {("a", "a"): 1, ("a", "Beta"): 1}
     assert (report.n_documents, report.n_failed) == (2, 1)
+    # A pass whose every document fails scores nothing.
+    failed = classify_labeled([labeled[2]] * 2, taxonomy, mock_backend)
+    assert (failed.matrix, failed.overall_accuracy, failed.per_class_accuracy) == ({}, 0.0, {})
+    assert (failed.n_documents, failed.n_failed) == (0, len(failed.records))
+
+
+def test_matrix_accuracy_derivation() -> None:
+    document = Document(id="d", text="text")
+    rows = [("B", "B")] + [("A", "A")] * 3 + [("A", "B")]
+    report = validation_outcome([(gold, document, predicted) for gold, predicted in rows])
+    # Cells in first-seen order; per-class accuracy in sorted gold order.
+    assert list(report.matrix.items()) == [(("B", "B"), 1), (("A", "A"), 3), (("A", "B"), 1)]
+    assert report.n_documents == 5
+    assert list(report.per_class_accuracy.items()) == [("A", 0.75), ("B", 1.0)]
+    assert report.overall_accuracy == pytest.approx(0.8)
 
 
 def test_empty_batch_is_empty_list(mock_backend: MockBackend) -> None:

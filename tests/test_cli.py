@@ -227,6 +227,30 @@ def test_revise_topic_from_json_naming_another_category_is_a_usage_error(
     assert out.read_bytes() == before
 
 
+def test_add_topic_from_json_naming_another_topic_than_name_is_a_usage_error(
+    runner, corpus_csv, tmp_path, monkeypatch
+) -> None:
+    out = _bootstrap(runner, corpus_csv, tmp_path)
+    before = out.read_bytes()
+    source = tmp_path / "topic.json"
+    source.write_text(
+        json.dumps({"topic_name": "Other_Topic", "topic_description": "x"}), encoding="utf-8"
+    )
+
+    def untouched(*args):
+        raise AssertionError("neither the taxonomy nor a backend may be touched")
+
+    monkeypatch.setattr("tagcraft.cli.load_taxonomy", untouched)
+    monkeypatch.setattr(CliState, "make_backend", untouched)
+    result = runner.invoke(
+        main,
+        ["add-topic", "--taxonomy", str(out), "--name", "Fresh_Topic", "--from-json", str(source)],
+    )
+    assert result.exit_code == 2, result.output
+    assert "Other_Topic" in result.output
+    assert out.read_bytes() == before
+
+
 def test_add_topic_duplicate_exits_nonzero_with_json_error(runner, corpus_csv, tmp_path) -> None:
     out = _bootstrap(runner, corpus_csv, tmp_path)
     args = [

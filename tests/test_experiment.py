@@ -145,7 +145,24 @@ def test_zero_unseen_classes_is_a_noop_second_phase(corpus_csv) -> None:
         _plan(corpus_csv, unseen_labels=()), MockBackend(seed=2), RefinementConfig(seed=5)
     )
     assert result.phase1.overall_accuracy == result.phase2.overall_accuracy
-    assert result.phase1.matrix.counts == result.phase2.matrix.counts
+    assert result.phase1.matrix == result.phase2.matrix
+    assert result.accuracy_shift == 0.0
+
+
+def test_accuracy_shift_falls_back_to_phase1_when_phase2_scores_no_seen_document(corpus_csv) -> None:
+    plan = _plan(corpus_csv)
+
+    class FailsOnceTheUnseenClassJoins(MockBackend):
+        def score_labels(self, request, candidates):
+            if len(candidates) > len(plan.seen_labels):
+                raise RuntimeError("scoring failed")
+            return super().score_labels(request, candidates)
+
+    result = run_experiment(plan, FailsOnceTheUnseenClassJoins(seed=2), RefinementConfig(seed=5))
+    phase2 = result.phase2
+    assert result.phase1.overall_accuracy > 0.0
+    assert (phase2.matrix, phase2.overall_accuracy, phase2.per_class_accuracy) == ({}, 0.0, {})
+    assert (phase2.n_documents, phase2.n_failed) == (0, len(phase2.records))
     assert result.accuracy_shift == 0.0
 
 

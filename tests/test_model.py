@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagcraft import (
-    ConfusionMatrix,
     Provenance,
     Stage,
     Taxonomy,
@@ -322,20 +321,6 @@ def test_round_trip_identity_property(tmp_path_factory, taxonomy: Taxonomy) -> N
     path = tmp_path_factory.mktemp("tax") / "t.json"
     save_taxonomy(taxonomy, path)
     assert load_taxonomy(path) == taxonomy
-
-
-# -- confusion matrix ---------------------------------------------------------------
-
-
-def test_matrix_accuracy_derivation() -> None:
-    matrix = ConfusionMatrix()
-    for _ in range(3):
-        matrix.record("A", "A")
-    matrix.record("A", "B")
-    matrix.record("B", "B")
-    assert matrix.total == 5
-    assert matrix.per_category_accuracy() == {"A": 0.75, "B": 1.0}
-    assert matrix.overall_accuracy() == pytest.approx(0.8)
 
 
 @pytest.mark.parametrize(

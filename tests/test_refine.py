@@ -15,7 +15,6 @@ from helpers import (
     validation_outcome,
 )
 from tagcraft import (
-    ConfusionMatrix,
     ConfusionPair,
     Document,
     RefinementConfig,
@@ -60,9 +59,9 @@ def test_validation_separable_corpus_is_perfect(mock_backend) -> None:
     taxonomy = _separable_taxonomy()
     docs = _docs_for("Alpha", ["aqua1", "aqua2"], 10) + _docs_for("Beta", ["brick1"], 10)
     outcome = validate_category_set(taxonomy, docs, mock_backend)
-    assert outcome.matrix.per_category_accuracy() == {"Alpha": 1.0, "Beta": 1.0}
+    assert outcome.per_class_accuracy == {"Alpha": 1.0, "Beta": 1.0}
     assert all(record.predicted == record.gold for record in outcome.records)
-    assert outcome.matrix.total == 20
+    assert outcome.n_documents == 20
 
 
 def test_validation_adversarial_corpus_hits_zero(mock_backend) -> None:
@@ -70,15 +69,16 @@ def test_validation_adversarial_corpus_hits_zero(mock_backend) -> None:
     # every Beta document is written in Alpha vocabulary
     docs = _docs_for("Beta", ["aqua1", "aqua2"], 10)
     outcome = validate_category_set(taxonomy, docs, mock_backend)
-    assert outcome.matrix.per_category_accuracy()["Beta"] == 0.0
+    assert outcome.per_class_accuracy["Beta"] == 0.0
     assert outcome.samples("Beta") == ([], docs)
     assert [(r.gold, r.predicted) for r in outcome.records] == [("Beta", "Alpha")] * 10
 
 
 def test_validation_empty_docs_is_empty_outcome(mock_backend) -> None:
     outcome = validate_category_set(_separable_taxonomy(), [], mock_backend)
-    assert outcome.matrix.total == 0
-    assert outcome.matrix.per_category_accuracy() == {}
+    assert outcome.n_documents == 0
+    assert outcome.per_class_accuracy == {}
+    assert (outcome.matrix, outcome.overall_accuracy, outcome.n_failed) == ({}, 0.0, 0)
 
 
 @pytest.mark.parametrize(
@@ -94,7 +94,7 @@ def test_validation_unknown_gold_label_raises(mock_backend, label) -> None:
 def test_validation_gold_matching_is_case_insensitive(mock_backend) -> None:
     docs = [Document(id="d", text="aqua1 aqua2", gold_label="ALPHA")]
     outcome = validate_category_set(_separable_taxonomy(), docs, mock_backend)
-    assert outcome.matrix.per_category_accuracy() == {"Alpha": 1.0}
+    assert outcome.per_class_accuracy == {"Alpha": 1.0}
 
 
 def test_validation_uncovered_category_warns_but_succeeds(mock_backend, caplog) -> None:
@@ -102,7 +102,7 @@ def test_validation_uncovered_category_warns_but_succeeds(mock_backend, caplog) 
     with caplog.at_level("WARNING", logger="tagcraft.refine"):
         outcome = validate_category_set(_separable_taxonomy(), docs, mock_backend)
     assert "Beta" in caplog.text
-    assert "Beta" not in outcome.matrix.per_category_accuracy()
+    assert "Beta" not in outcome.per_class_accuracy
 
 
 # -- refine_description -----------------------------------------------------------
@@ -181,30 +181,23 @@ def test_refine_requires_misclassified_samples(mock_backend) -> None:
 # -- confusion pair mining ---------------------------------------------------------
 
 
-def _matrix(cells: dict[tuple[str, str], int]) -> ConfusionMatrix:
-    matrix = ConfusionMatrix()
-    for (gold, predicted), count in cells.items():
-        matrix.record(gold, predicted, count)
-    return matrix
-
-
 def test_mine_drops_below_min_count_and_sorts() -> None:
-    matrix = _matrix({("A", "B"): 5, ("B", "A"): 3, ("A", "C"): 1})
+    matrix = {("A", "B"): 5, ("B", "A"): 3, ("A", "C"): 1}
     pairs = mine_confusion_pairs(matrix, min_count=2, top_k=3)
     assert pairs == [ConfusionPair("A", "B", 5), ConfusionPair("B", "A", 3)]
 
 
 def test_mine_empty_matrix() -> None:
-    assert mine_confusion_pairs(ConfusionMatrix(), 2, 3) == []
+    assert mine_confusion_pairs({}, 2, 3) == []
 
 
 def test_mine_tie_breaks_by_name_order() -> None:
-    matrix = _matrix({("C", "D"): 2, ("A", "B"): 2})
+    matrix = {("C", "D"): 2, ("A", "B"): 2}
     assert mine_confusion_pairs(matrix, min_count=2, top_k=1) == [ConfusionPair("A", "B", 2)]
 
 
 def test_mine_ignores_diagonal() -> None:
-    matrix = _matrix({("A", "A"): 50, ("A", "B"): 2})
+    matrix = {("A", "A"): 50, ("A", "B"): 2}
     assert mine_confusion_pairs(matrix, 1, 5) == [ConfusionPair("A", "B", 2)]
 
 
@@ -212,17 +205,17 @@ def test_mine_matches_bruteforce_on_random_matrices() -> None:
     rng = random.Random(21)
     labels = [f"L{i}" for i in range(6)]
     for _ in range(100):
-        matrix = ConfusionMatrix()
+        matrix = {}
         for gold in labels:
             for predicted in labels:
                 count = rng.randrange(0, 5)
                 if count:
-                    matrix.record(gold, predicted, count)
+                    matrix[(gold, predicted)] = count
         min_count = rng.randrange(1, 4)
         top_k = rng.randrange(1, 6)
         # independent oracle: repeated max extraction
         remaining = [
-            (g, p, c) for (g, p), c in matrix.counts.items() if g != p and c >= min_count
+            (g, p, c) for (g, p), c in matrix.items() if g != p and c >= min_count
         ]
         expected = []
         while remaining and len(expected) < top_k:
