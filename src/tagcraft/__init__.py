@@ -25,7 +25,6 @@ from .experiment import (
     EvalPhase,
     ExperimentPlan,
     ExperimentResult,
-    preset_plan,
     run_experiment,
 )
 from .extraction import extract_descriptor, extract_descriptor_set
@@ -96,7 +95,6 @@ __all__ = [
     "load_taxonomy",
     "mine_confusion_pairs",
     "normalize_name",
-    "preset_plan",
     "refine_description",
     "refine_loop",
     "render",

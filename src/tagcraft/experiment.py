@@ -16,13 +16,13 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import datasets
 from .backends.base import Backend
 from .classify import EvalReport, classify_labeled
-from .datasets import AGNEWS_LABELS, DBPEDIA_LABELS, split_seen_unseen
+from .datasets import split_seen_unseen
 from .describe import SamplePlan, bootstrap_taxonomy, contrast_taxonomy
 from .errors import SchemaError
 from .fileio import write_text_atomic
@@ -63,6 +63,7 @@ class ExperimentPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dataset", DatasetKind(self.dataset))
         for key in ("seen_labels", "unseen_labels"):
             labels = getattr(self, key)
             if not isinstance(labels, (list, tuple)) or not all(isinstance(x, str) for x in labels):
@@ -119,27 +120,6 @@ class ExperimentResult:
         ]
 
 
-def preset_plan(kind: DatasetKind | str, data_path: str, **overrides) -> ExperimentPlan:
-    """Default seen/unseen configurations: AG News holds out Sci/Tech
-    (3 seen + 1 unseen); DBpedia uses the first 8 classes as seen and holds
-    out the last listed class (8 seen + 1 unseen).
-    """
-    kind = DatasetKind(kind)
-    if kind is DatasetKind.AGNEWS:
-        seen, unseen = AGNEWS_LABELS[:3], AGNEWS_LABELS[3:]
-    elif kind is DatasetKind.DBPEDIA:
-        seen, unseen = DBPEDIA_LABELS[:8], DBPEDIA_LABELS[-1:]
-    else:
-        raise ValueError("presets exist only for the agnews and dbpedia datasets")
-    return ExperimentPlan(
-        dataset=kind,
-        data_path=data_path,
-        seen_labels=seen,
-        unseen_labels=unseen,
-        **overrides,
-    )
-
-
 def load_dataset(kind: DatasetKind | str, path: str | Path) -> list[Document]:
     """The documents of the dataset file at ``path``, read as ``kind``."""
     kind = DatasetKind(kind)
@@ -153,8 +133,9 @@ def load_dataset(kind: DatasetKind | str, path: str | Path) -> list[Document]:
 def load_plan(path: str | Path) -> tuple[ExperimentPlan, RefinementConfig]:
     """Read a plan JSON file; an optional "refinement" object supplies the
     loop's RefinementConfig fields, while n_bootstrap, m_validate and seed
-    come from the plan alone. A key that names no field, or a "refinement"
-    key the plan owns, is a SchemaError.
+    come from the plan alone. A top level that is not a JSON object, a key
+    that names no field, or a "refinement" key the plan owns, is a
+    SchemaError.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -162,26 +143,18 @@ def load_plan(path: str | Path) -> tuple[ExperimentPlan, RefinementConfig]:
         raise SchemaError(f"cannot read plan {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise SchemaError(f"plan {path} is not valid JSON: {err}") from err
+    if not isinstance(data, dict):
+        raise SchemaError(f"plan {path} must contain a JSON object")
     try:
-        unknown = set(data) - {f.name for f in fields(ExperimentPlan)} - {"refinement"}
-        if unknown:
-            raise ValueError(f"unknown keys {', '.join(sorted(unknown))}")
-        counts = ("n_bootstrap", "m_validate", "test_per_class", "seed")
-        plan = ExperimentPlan(
-            dataset=DatasetKind(data["dataset"]),
-            data_path=data["data_path"],
-            seen_labels=data["seen_labels"],
-            unseen_labels=data.get("unseen_labels", []),
-            **{key: data[key] for key in counts if key in data},
-        )
-        refinement = data.get("refinement", {})
+        refinement = data.pop("refinement", {})
         owned = sorted({"n_bootstrap", "m_validate", "seed"} & set(refinement))
         if owned:
             raise ValueError(f"refinement keys {', '.join(owned)} belong at the plan's top level")
+        plan = ExperimentPlan(**data)
         config = RefinementConfig(
             **refinement, n_bootstrap=plan.n_bootstrap, m_validate=plan.m_validate, seed=plan.seed
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (TypeError, ValueError) as err:
         raise SchemaError(f"invalid plan {path}: {err}") from err
     return plan, config
 

@@ -238,14 +238,17 @@ def adapt_pair(
 def _validation_subset(
     validation_docs: Sequence[Document], config: RefinementConfig
 ) -> list[Document]:
-    """Draw m_validate documents per gold label, seeded by the config seed and
-    the label, labels in order of first appearance.
+    """Draw m_validate documents per category (gold labels matched as in
+    ``validate_category_set``), seeded by the config seed and the category's
+    first label spelling, categories in order of first appearance.
     """
-    grouped: dict[str, list[Document]] = {}
+    grouped: dict[str, tuple[str, list[Document]]] = {}
     for document in validation_docs:
-        grouped.setdefault(document.gold_label or "", []).append(document)
+        label = document.gold_label or ""
+        key = name_key(label) if label.strip() else label
+        grouped.setdefault(key, (label, []))[1].append(document)
     subset: list[Document] = []
-    for label, pool in grouped.items():
+    for label, pool in grouped.values():
         # The ":0" suffix is part of the seed: dropping it changes every subset and prompt.
         rng = random.Random(f"{config.seed}:{label}:0")
         subset.extend(rng.sample(pool, min(config.m_validate, len(pool))))

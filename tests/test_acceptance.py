@@ -50,12 +50,12 @@ from tagcraft import (
     taxonomy_upsert,
 )
 from tagcraft.cli import main as cli_main
+from tagcraft.datasets import AGNEWS_LABELS
 from tagcraft.errors import ContrastDroppedAllError, DescriptorParseError
 from tagcraft.experiment import (
     DatasetKind,
     ExperimentPlan,
     persist_result,
-    preset_plan,
     result_to_dict,
     run_experiment,
 )
@@ -366,9 +366,11 @@ _REAL_BACKEND_READY = all(
 def test_criterion_8_real_backend_smoke(tmp_path) -> None:
     from tagcraft import HttpBackend
 
-    plan = preset_plan(
-        "agnews",
+    plan = ExperimentPlan(
+        DatasetKind.AGNEWS,
         os.environ["TAGCRAFT_AGNEWS_CSV"],
+        seen_labels=AGNEWS_LABELS[:3],
+        unseen_labels=AGNEWS_LABELS[3:],
         n_bootstrap=20,
         m_validate=25,
         test_per_class=100,

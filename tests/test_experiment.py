@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+from pathlib import Path
 
 import pytest
 
 from helpers import class_vocab, keyword_documents, write_generic_csv, write_plan
 from tagcraft import MockBackend, RefinementConfig, datasets, use_templates
-from tagcraft.errors import SchemaError
+from tagcraft.datasets import AGNEWS_LABELS, DBPEDIA_LABELS
+from tagcraft.errors import FileIOError, SchemaError
 from tagcraft.experiment import (
     DatasetKind,
     EvalPhase,
@@ -14,7 +18,6 @@ from tagcraft.experiment import (
     load_dataset,
     load_plan,
     persist_result,
-    preset_plan,
     result_to_dict,
     run_experiment,
 )
@@ -97,15 +100,6 @@ def test_load_dataset_calls_the_loader_of_its_kind_through_the_module(
     assert calls == [(loader, "data.csv")]
     with pytest.raises(ValueError):
         load_dataset("tsv", "data.csv")
-
-
-def test_preset_plans() -> None:
-    agnews = preset_plan("agnews", "ag.csv")
-    assert agnews.seen_labels == ("World", "Sports", "Business")
-    assert agnews.unseen_labels == ("Sci/Tech",)
-    dbpedia = preset_plan("dbpedia", "db.csv")
-    assert len(dbpedia.seen_labels) == 8
-    assert dbpedia.unseen_labels == ("WrittenWork",)
 
 
 def test_run_experiment_produces_both_phases(corpus_csv) -> None:
@@ -250,6 +244,47 @@ def test_persist_result_writes_deterministic_artifacts(corpus_csv, tmp_path) -> 
     predictions = (tmp_path / "out" / "predictions.jsonl").read_text(encoding="utf-8")
     assert len(predictions.splitlines()) == len(result.predictions)
     assert (tmp_path / "out" / "taxonomy.json").exists()
+
+
+ARTIFACTS = ("report.json", "predictions.jsonl", "taxonomy.json")
+
+
+# Known defect: persist_result replaces its three files one at a time, so a
+# failed rename leaves a mixed set of old and new files, and the error type
+# depends on which file failed. This table pins that outcome until it is fixed.
+@pytest.mark.parametrize(
+    "failing_call, error, new_files",
+    [
+        (1, OSError, set()),
+        (2, OSError, {"report.json"}),
+        (3, FileIOError, {"report.json", "predictions.jsonl"}),
+    ],
+)
+def test_persist_result_failing_mid_write_leaves_a_mixed_set(
+    corpus_csv, tmp_path, monkeypatch, failing_call, error, new_files
+) -> None:
+    result = run_experiment(_plan(corpus_csv), MockBackend(seed=2), RefinementConfig(seed=5))
+    out = tmp_path / "out"
+    persist_result(result, out)
+    new = {name: (out / name).read_bytes() for name in ARTIFACTS}
+    for name in ARTIFACTS:
+        (out / name).write_text("old\n", encoding="utf-8")
+
+    real_replace, calls = os.replace, []
+
+    def replace_failing_once(src, dst):
+        calls.append(dst)
+        if len(calls) == failing_call:
+            raise OSError("disk gone")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_failing_once)
+    with pytest.raises((OSError, FileIOError)) as exc:
+        persist_result(result, out)
+    assert type(exc.value) is error
+    assert sorted(path.name for path in out.iterdir()) == sorted(ARTIFACTS)  # no temp file left
+    assert {name for name in ARTIFACTS if (out / name).read_bytes() == new[name]} == new_files
+    assert all((out / name).read_bytes() == b"old\n" for name in set(ARTIFACTS) - new_files)
 
 
 def test_report_numbers_recomputable_from_persisted_predictions(corpus_csv, tmp_path) -> None:
@@ -401,3 +436,31 @@ def test_minimal_plan_loads_to_the_dataclass_defaults(tmp_path, corpus_csv) -> N
     plan, config = load_plan(plan_path)
     assert plan == ExperimentPlan(DatasetKind.GENERIC_CSV, str(corpus_csv), ("ClassA",))
     assert config == RefinementConfig()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[["dataset", "csv"], ["data_path", "x.csv"], ["seen_labels", ["ClassA"]]], "plan", 3, None],
+    ids=["pairs", "string", "number", "null"],
+)
+def test_load_plan_rejects_a_top_level_that_is_not_an_object(tmp_path, payload) -> None:
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(SchemaError, match="must contain a JSON object"):
+        load_plan(plan_path)
+
+
+def test_readme_plan_files_load_as_the_paper_splits(tmp_path) -> None:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Plan files", 1)[1].split("\n## ", 1)[0]
+    splits = {
+        DatasetKind.AGNEWS: (AGNEWS_LABELS[:3], ("Sci/Tech",)),
+        DatasetKind.DBPEDIA: (DBPEDIA_LABELS[:8], ("WrittenWork",)),
+    }
+    loaded = {}
+    for text in re.findall(r"```json\n(.*?)```", section, flags=re.DOTALL):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(text, encoding="utf-8")
+        plan, _ = load_plan(plan_path)
+        loaded[plan.dataset] = (plan.seen_labels, plan.unseen_labels)
+    assert loaded == splits

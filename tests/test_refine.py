@@ -4,6 +4,7 @@ import io
 import json
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -463,3 +464,33 @@ def test_loop_validates_one_subset_in_every_iteration() -> None:
         d for label, pool in pools.items() for d in random.Random(f"1:{label}:0").sample(pool, 10)
     ]
     assert passes[0] == sorted(d.text for d in drawn)
+
+
+def test_loop_draws_one_subset_per_category_whatever_its_label_spelling() -> None:
+    validated: list[str] = []
+
+    class Recording(ScriptedAccuracyBackend):
+        def score_labels(self, request, candidates):
+            validated.append(re.search(r"gold=\S+ idx=\d+", request.user_text).group(0))
+            return super().score_labels(request, candidates)
+
+    taxonomy = make_taxonomy([("Alpha", "a"), ("Beta", "b")])
+    docs = scripted_docs(["Alpha", "alpha", "Beta"], 20)
+    config = _loop_config(m_validate=10, max_iterations=1)
+    refine_loop(taxonomy, docs, config, Recording([{}]))
+    per_category = Counter(text.split()[0].casefold() for text in validated)
+    assert per_category == {"gold=alpha": 10, "gold=beta": 10}
+    # one pool holds both spellings, and its seed is the first spelling in input order
+    drawn = random.Random("1:Alpha:0").sample(docs[:40], 10)
+    drawn += random.Random("1:Beta:0").sample(docs[40:], 10)
+    assert sorted(validated) == sorted(d.text for d in drawn)
+
+
+@pytest.mark.parametrize("label", [None, "", "   "], ids=["None", "empty", "whitespace"])
+def test_loop_reports_a_blank_gold_label_as_unknown(label) -> None:
+    taxonomy = make_taxonomy([("Alpha", "a"), ("Beta", "b")])
+    docs = scripted_docs(["Alpha", "Beta"], 5) + [Document("blank", "gold=x idx=0", label)]
+    with pytest.raises(RefinementAbortedError) as exc:
+        refine_loop(taxonomy, docs, _loop_config(), ScriptedAccuracyBackend([{}]))
+    assert isinstance(exc.value.__cause__, UnknownGoldLabelError)
+    assert (exc.value.__cause__.document_id, exc.value.__cause__.label) == ("blank", label)
