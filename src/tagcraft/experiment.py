@@ -17,6 +17,7 @@ import enum
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from . import datasets
@@ -25,6 +26,7 @@ from .classify import EvalReport, classify_labeled
 from .datasets import split_seen_unseen
 from .describe import SamplePlan, bootstrap_taxonomy, contrast_taxonomy
 from .errors import SchemaError
+from .fanout import ordered_map
 from .fileio import write_text_atomic
 from .model import (
     Document,
@@ -173,11 +175,18 @@ def run_experiment(
     of seen and unseen test sets. The reported accuracy shift is the phase-2
     seen-class accuracy minus the phase-1 accuracy.
 
+    The unseen classes are added to the loop's taxonomy while the phase-1
+    test runs, since neither reads the other's output; phase 2 starts once
+    both are done. When the add fails, its error is raised after the phase-1
+    calls in flight have finished.
+
     With a checkpoint_dir, the working taxonomy is re-saved after every
     pipeline stage so a mid-run failure leaves partial artifacts behind.
 
-    Every stage keeps at most ``backend.capabilities().max_concurrency``
-    backend calls in flight; the outputs are the same as with a cap of 1.
+    The run as a whole, not each stage, keeps at most
+    ``backend.capabilities().max_concurrency`` backend calls in flight, the
+    side-by-side phase-1 test and add included; the outputs are the same as
+    with a cap of 1.
     """
 
     def checkpoint(taxonomy: Taxonomy) -> None:
@@ -212,20 +221,34 @@ def run_experiment(
     taxonomy, refinement = refine_loop(taxonomy, validation, config, backend, log=log)
     checkpoint(taxonomy)
 
-    seen_test = [(label, doc) for label in plan.seen_labels for doc in split.seen_test[label]]
-    phase1 = classify_labeled(seen_test, taxonomy, backend, label_names)
+    def add_unseen(grown: Taxonomy) -> tuple[Taxonomy, dict[str, str]]:
+        names = {}
+        for label in plan.unseen_labels:
+            rough = TopicDescriptor(label, f"Documents about {label}.")
+            grown = add_topic(
+                rough,
+                grown,
+                backend,
+                run_contrast=True,
+                sample_docs=list(split.unseen_bootstrap.get(label, ())),
+            )
+            names[label] = rough.topic_name
+            checkpoint(grown)
+        return grown, names
 
-    for label in plan.unseen_labels:
-        rough = TopicDescriptor(label, f"Documents about {label}.")
-        taxonomy = add_topic(
-            rough,
-            taxonomy,
-            backend,
-            run_contrast=True,
-            sample_docs=list(split.unseen_bootstrap.get(label, ())),
-        )
-        label_names[label] = rough.topic_name
-        checkpoint(taxonomy)
+    # Phase 1 comes first, so this thread drives it while a helper adds the
+    # unseen classes. The add returns the unseen names rather than writing to
+    # label_names, which phase 1 reads.
+    seen_test = [(label, doc) for label in plan.seen_labels for doc in split.seen_test[label]]
+    phase1, (taxonomy, unseen_names) = ordered_map(
+        lambda job: job(),
+        [
+            partial(classify_labeled, seen_test, taxonomy, backend, label_names),
+            partial(add_unseen, taxonomy),
+        ],
+        backend.capabilities().max_concurrency,
+    )
+    label_names.update(unseen_names)
 
     unseen_test = [(label, doc) for label in plan.unseen_labels for doc in split.unseen_test[label]]
     phase2 = classify_labeled(seen_test + unseen_test, taxonomy, backend, label_names)

@@ -1,7 +1,9 @@
 """Stage fan-out: bootstrap, contrast and the refine/adapt wave overlap
-their completions up to the backend's max_concurrency, yet apply results,
-suffix names and log events in input order, so outputs match a run at a cap
-of 1.
+their completions up to the backend's max_concurrency, and the unseen-class
+add runs beside the phase-1 test of the seen classes, yet results, suffix
+names and log events are applied in input order, so outputs match a run at
+a cap of 1. Fan-outs nested or run side by side stay within the one cap
+together.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from tagcraft import (
     Stage,
     bootstrap_taxonomy,
     contrast_taxonomy,
+    load_taxonomy,
     refine_loop,
     revise_topic,
     taxonomy_upsert,
@@ -76,28 +79,61 @@ class InFlightBackend(Backend):
         self.inner = inner
         self.latency = latency
         self._lock = threading.Lock()
-        self._level = 0
+        self.level = 0
         self.peak = 0
+        self.score_calls = 0
 
     def capabilities(self):
         return self.inner.capabilities()
 
     def _call(self, fn):
         with self._lock:
-            self._level += 1
-            self.peak = max(self.peak, self._level)
+            self.level += 1
+            self.peak = max(self.peak, self.level)
         try:
             time.sleep(self.latency)
             return fn()
         finally:
             with self._lock:
-                self._level -= 1
+                self.level -= 1
 
     def complete(self, request):
         return self._call(lambda: self.inner.complete(request))
 
     def score_labels(self, request, candidates):
+        with self._lock:
+            self.score_calls += 1
         return self._call(lambda: self.inner.score_labels(request, candidates))
+
+
+class EnrichWaitsForScoring(Backend):
+    """Delegates to ``inner``, but the enrich completion of an unseen class
+    (its prompt holds the rough "Documents about" text) waits until a score
+    call arrives while it waits, which happens only if the seen-class test
+    runs beside the add."""
+
+    def __init__(self, inner: Backend):
+        self.inner = inner
+        self._scored = threading.Condition()
+        self._score_calls = 0
+
+    def capabilities(self):
+        return self.inner.capabilities()
+
+    def complete(self, request):
+        if "Documents about" in request.user_text:
+            with self._scored:
+                seen = self._score_calls
+                if not self._scored.wait_for(lambda: self._score_calls > seen, WAIT_S):
+                    raise AssertionError("no score call arrived while the unseen class was added")
+        return self.inner.complete(request)
+
+    def score_labels(self, request, candidates):
+        time.sleep(0.002)  # keeps the seen-class test running while the add starts
+        with self._scored:
+            self._score_calls += 1
+            self._scored.notify_all()
+        return self.inner.score_labels(request, candidates)
 
 
 def _labeled(texts: dict[str, str]) -> list[Document]:
@@ -163,6 +199,35 @@ def test_ordered_map_nested_in_a_busy_pool_finishes() -> None:
     runner.start()
     runner.join(WAIT_S)
     assert results == [[3, 6, 10, 15]]
+
+
+def test_ordered_map_gives_the_first_item_to_the_calling_thread() -> None:
+    caller = threading.current_thread()
+    for _ in range(20):
+        threads = ordered_map(lambda n: threading.current_thread(), range(4), 4)
+        assert threads[0] is caller
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+def test_side_by_side_fan_outs_stay_within_one_cap(cap) -> None:
+    lock = threading.Lock()
+    level = peak = 0
+
+    def sleepy(n: int) -> int:
+        nonlocal level, peak
+        with lock:
+            level += 1
+            peak = max(peak, level)
+        time.sleep(0.02)
+        with lock:
+            level -= 1
+        return n
+
+    def job(start: int) -> list[int]:
+        return ordered_map(sleepy, range(start, start + 6), cap)
+
+    assert ordered_map(job, [0, 10], cap) == [list(range(6)), list(range(10, 16))]
+    assert peak == cap
 
 
 class TornHandle(io.StringIO):
@@ -233,6 +298,12 @@ def test_contrast_batches_overlap() -> None:
     result = contrast_taxonomy(taxonomy, backend)
     assert result.names() == taxonomy.names()
     assert all(c.history[-1].stage is Stage.CONTRAST for c in result.categories)
+
+
+def test_unseen_classes_are_added_while_the_seen_classes_are_tested(tmp_path) -> None:
+    backend = EnrichWaitsForScoring(MockBackend())
+    result = run_experiment(_paired_plan(tmp_path), backend, _paired_config())
+    assert result.label_names["Pair3Y"] == "Pair3Y"
 
 
 def test_refine_and_adapt_waves_overlap() -> None:
@@ -375,6 +446,41 @@ def test_refine_failure_mid_wave_applies_and_logs_only_what_precedes_it() -> Non
         ("refine", "Beta", False),
     ]
     assert backend.complete_calls == 2  # Alpha and Gamma ran; Gamma's result was dropped
+
+
+@pytest.mark.parametrize("cap", [1, 4])
+def test_a_failed_add_surfaces_after_the_seen_class_test(tmp_path, monkeypatch, cap) -> None:
+    loop_taxonomies = []
+
+    def recording_loop(*args, **kwargs):
+        taxonomy, report = refine_loop(*args, **kwargs)
+        loop_taxonomies.append(taxonomy)
+        return taxonomy, report
+
+    monkeypatch.setattr(tagcraft.experiment, "refine_loop", recording_loop)
+    plan = _paired_plan(tmp_path)
+    clean = InFlightBackend(MockBackend(), latency=0)
+    result = run_experiment(plan, clean, _paired_config())
+    scored_before_add = clean.score_calls - len(result.phase2.records)
+
+    failure = RuntimeError("backend down while adding a class")
+
+    class AddFails(InFlightBackend):
+        def complete(self, request):
+            if "Documents about" in request.user_text:
+                raise failure
+            return super().complete(request)
+
+    backend = AddFails(CappedBackend(MockBackend(), cap))
+    out = tmp_path / "checkpoint"
+    with pytest.raises(RuntimeError) as exc:
+        run_experiment(plan, backend, _paired_config(), checkpoint_dir=out)
+    # Raised once every validation and seen-class test call was done, and
+    # none was still in flight.
+    assert exc.value is failure
+    assert backend.score_calls == scored_before_add
+    assert backend.level == 0
+    assert load_taxonomy(out / "taxonomy.partial.json") == loop_taxonomies[-1]
 
 
 # -- byte identity with a serial run ----------------------------------------------------
