@@ -14,15 +14,8 @@ Label scoring
     denominator counts description tokens with repetition.
 
 Completions
-    A directive marker embedded anywhere in the prompt takes priority:
-
-    ``DESCRIBE:kw1,kw2,...``
-        returns ``{"topic_name": "Kw1_Kw2", "topic_description": "Covers kw1, kw2, ..."}``
-        (name built from the first two keywords, capitalized and joined
-        with underscores).
-
-    Otherwise the prompt is matched against the shipped stage templates and
-    a descriptor (or descriptor set) is synthesized from the dominant
+    The prompt is matched against the shipped stage templates and a
+    descriptor (or descriptor set) is synthesized from the dominant
     sample keywords, so the full pipeline runs offline end to end:
 
     * tag generation: top keywords of the trailing ``Description:`` sample
@@ -70,8 +63,6 @@ _STOPWORDS = frozenset(
     you your
     """.split()
 )
-
-_DESCRIBE = re.compile(r"DESCRIBE:(\S+)")
 
 # Distinctive lines of the shipped stage templates.
 _MARKER_TAG = "Respond only with the JSON output for the given Description."
@@ -133,10 +124,6 @@ class MockBackend(Backend):
 
     def complete(self, request: PromptRequest) -> str:
         text = request.user_text
-        directive = _DESCRIBE.search(text)
-        if directive:
-            keywords = [k.strip() for k in directive.group(1).split(",") if k.strip()]
-            return self._descriptor_json(self._name_from(keywords), keywords)
         if _MARKER_TAG in text:
             return self._complete_tag(text)
         if _MARKER_CONTRAST in text:

@@ -23,7 +23,7 @@ from .classify import classify as classify_document
 from .describe import SamplePlan, bootstrap_taxonomy, contrast_taxonomy
 from .errors import TagcraftError
 from .extraction import extract_descriptor
-from .fileio import write_text_atomic
+from .fileio import read_json_object, write_json_atomic
 from .model import (
     Document,
     RefinementConfig,
@@ -135,11 +135,8 @@ def main(ctx, **params):
 def _apply_label_map(docs: list[Document], map_path: str | None) -> list[Document]:
     if not map_path:
         return docs
-    try:
-        mapping = json.loads(Path(map_path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ValueError(f"label map {map_path} is not valid JSON: {err}") from err
-    if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
+    mapping = read_json_object(map_path, "label map")
+    if not all(isinstance(v, str) for v in mapping.values()):
         raise ValueError(f"label map {map_path} must be a JSON object mapping labels to name strings")
     return [
         replace(d, gold_label=mapping.get(d.gold_label, d.gold_label)) if d.gold_label else d
@@ -168,7 +165,7 @@ def bootstrap(state: CliState, dataset_path, fmt, labels, n_samples, out_path, m
     taxonomy, mapping = bootstrap_taxonomy(docs, label_list, plan, backend)
     save_taxonomy(taxonomy, out_path)
     map_file = Path(map_path) if map_path else Path(out_path).with_suffix(".labels.json")
-    write_text_atomic(map_file, json.dumps(mapping, indent=2, sort_keys=True) + "\n")
+    write_json_atomic(map_file, mapping)
     click.echo(f"wrote {out_path} ({len(taxonomy)} categories); label map: {map_file}")
 
 
@@ -223,7 +220,7 @@ def refine(state: CliState, taxonomy_path, validate_path, fmt, label_map, thresh
         result, report = refine_loop(taxonomy, docs, config, backend, log=log)
     save_taxonomy(result, out_path or taxonomy_path)
     report_file = Path(report_path) if report_path else Path(taxonomy_path).with_suffix(".report.json")
-    write_text_atomic(report_file, json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
+    write_json_atomic(report_file, asdict(report))
     click.echo(
         f"stopped after {report.iterations_run} iteration(s): {report.stop_reason.value}; "
         f"taxonomy -> {out_path or taxonomy_path}, report -> {report_file}"

@@ -27,7 +27,7 @@ from .datasets import split_seen_unseen
 from .describe import SamplePlan, bootstrap_taxonomy, contrast_taxonomy
 from .errors import SchemaError
 from .fanout import ordered_map
-from .fileio import write_text_atomic
+from .fileio import read_json_object, write_json_atomic, write_text_atomic
 from .model import (
     Document,
     RefinementConfig,
@@ -137,16 +137,9 @@ def load_plan(path: str | Path) -> tuple[ExperimentPlan, RefinementConfig]:
     loop's RefinementConfig fields, while n_bootstrap, m_validate and seed
     come from the plan alone. A top level that is not a JSON object, a key
     that names no field, or a "refinement" key the plan owns, is a
-    SchemaError.
+    SchemaError; a file that cannot be read is a FileIOError.
     """
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as err:
-        raise SchemaError(f"cannot read plan {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise SchemaError(f"plan {path} is not valid JSON: {err}") from err
-    if not isinstance(data, dict):
-        raise SchemaError(f"plan {path} must contain a JSON object")
+    data = read_json_object(path, "plan")
     try:
         refinement = data.pop("refinement", {})
         owned = sorted({"n_bootstrap", "m_validate", "seed"} & set(refinement))
@@ -316,9 +309,7 @@ def persist_result(result: ExperimentResult, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.json"
-    write_text_atomic(
-        report_path, json.dumps(result_to_dict(result), sort_keys=True, indent=2) + "\n"
-    )
+    write_json_atomic(report_path, result_to_dict(result))
     write_text_atomic(
         out / "predictions.jsonl",
         "".join(

@@ -89,7 +89,7 @@ def _parsed_values(text: str) -> Iterator[object]:
     for snippet in _candidate_texts(text):
         try:
             yield json.loads(snippet)
-        except (json.JSONDecodeError, RecursionError, ValueError):
+        except (RecursionError, ValueError):  # json decode errors are ValueErrors
             continue
 
 

@@ -1,11 +1,14 @@
-"""Crash-safe file output."""
+"""Run-file I/O: crash-safe writes, and JSON object reads with one error policy."""
 
 from __future__ import annotations
 
+import json
 import os
 import stat
 import threading
 from pathlib import Path
+
+from .errors import FileIOError, SchemaError
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -14,9 +17,10 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
     The text goes to a temporary file in the same directory, is flushed to
     disk, and is then renamed over the target with ``os.replace``. On failure
-    the temporary file is removed and the previous file is left untouched.
-    A symlink is written through: the file it points to is replaced and the
-    link stays. An existing file's permission bits carry over.
+    the temporary file is removed and the previous file is left untouched;
+    an ``OSError`` is raised as ``FileIOError``. A symlink is written
+    through: the file it points to is replaced and the link stays. An
+    existing file's permission bits carry over.
     """
     target = Path(os.path.realpath(path))
     temp = target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
@@ -32,6 +36,28 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         if mode is not None:
             os.chmod(temp, mode)
         os.replace(temp, target)
-    except BaseException:
+    except BaseException as err:
         temp.unlink(missing_ok=True)
+        if isinstance(err, OSError):
+            raise FileIOError(f"cannot write {path}: {err}") from err
         raise
+
+
+def write_json_atomic(path: str | Path, data: object) -> None:
+    """``write_text_atomic`` of ``data`` as indented JSON with sorted keys."""
+    write_text_atomic(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in ``path``, named ``what`` in errors: ``FileIOError``
+    if the file cannot be read, ``SchemaError`` if it is not a JSON object.
+    """
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as err:
+        raise FileIOError(f"cannot read {what} {path}: {err}") from err
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:  # JSON text is UTF-8
+        raise SchemaError(f"{what} {path} is not valid JSON: {err}") from err
+    if not isinstance(data, dict):
+        raise SchemaError(f"{what} {path} must contain a JSON object")
+    return data

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import EmptyNameError, FileIOError, SchemaError
-from .fileio import write_text_atomic
+from .errors import EmptyNameError, SchemaError
+from .fileio import read_json_object, write_text_atomic
 
 
 def normalize_name(raw: str) -> str:
@@ -334,26 +334,13 @@ def taxonomy_from_dict(data: Mapping) -> Taxonomy:
 
 def save_taxonomy(taxonomy: Taxonomy, path: str | Path) -> None:
     """Write the taxonomy as JSON, atomically replacing any previous file."""
-    try:
-        write_text_atomic(
-            path, json.dumps(taxonomy_to_dict(taxonomy), ensure_ascii=False, indent=2) + "\n"
-        )
-    except OSError as err:
-        raise FileIOError(f"cannot write taxonomy to {path}: {err}") from err
+    write_text_atomic(
+        path, json.dumps(taxonomy_to_dict(taxonomy), ensure_ascii=False, indent=2) + "\n"
+    )
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise FileIOError(f"cannot read taxonomy from {path}: {err}") from err
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as err:
-        raise SchemaError(f"taxonomy file {path} is not valid JSON: {err}") from err
-    if not isinstance(data, dict):
-        raise SchemaError(f"taxonomy file {path} must contain a JSON object")
-    return taxonomy_from_dict(data)
+    return taxonomy_from_dict(read_json_object(path, "taxonomy"))
 
 
 def group_by_label(documents: Iterable[Document]) -> dict[str, list[Document]]:

@@ -93,7 +93,7 @@ def test_mock_is_pure_function_of_inputs() -> None:
     assert first.score_labels(request, ["TopicA", "TopicB"]) == second.score_labels(
         request, ["TopicA", "TopicB"]
     )
-    assert first.complete(_request("DESCRIBE:a,b")) == second.complete(_request("DESCRIBE:a,b"))
+    assert first.complete(request) == second.complete(request)
 
 
 @given(st.lists(st.integers(0, 50).map(lambda i: f"Cand_{i}"), min_size=1, max_size=10, unique=True))
@@ -102,14 +102,6 @@ def test_score_map_contains_exactly_requested_candidates(names: list[str]) -> No
     scores = backend.score_labels(_request(CLASSIFY_PROMPT), names)
     assert set(scores.scores) == set(names)
     assert all(isinstance(v, float) for v in scores.scores.values())
-
-
-def test_describe_directive_emits_documented_template(mock_backend: MockBackend) -> None:
-    reply = mock_backend.complete(_request("anything DESCRIBE:login,password anything"))
-    assert json.loads(reply) == {
-        "topic_name": "Login_Password",
-        "topic_description": "Covers login, password.",
-    }
 
 
 def test_tag_template_completion_names_dominant_keywords(mock_backend: MockBackend) -> None:

@@ -357,6 +357,43 @@ def test_label_map_must_map_labels_to_names(
     assert not (tmp_path / "tax.report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "payload, error", [(None, "FileIOError"), ("{oops", "SchemaError")], ids=["missing", "not-json"]
+)
+def test_label_map_errors_are_typed(runner, corpus_csv, tmp_path, payload, error) -> None:
+    out = _bootstrap(runner, corpus_csv, tmp_path)
+    label_map = tmp_path / "map.json"
+    if payload is not None:
+        label_map.write_text(payload, encoding="utf-8")
+    result = runner.invoke(
+        main,
+        [
+            "--json-errors", "refine", "--taxonomy", str(out), "--validate", str(corpus_csv),
+            "--label-map", str(label_map), "--m", "10",
+        ],
+    )
+    assert result.exit_code == 1, result.output
+    assert json.loads(result.output.strip().splitlines()[-1])["error"] == error
+
+
+def test_unwritable_cli_json_outputs_are_file_io_errors(runner, corpus_csv, tmp_path) -> None:
+    missing = tmp_path / "no" / "such" / "dir"
+    invocations = {
+        "map.json": ["bootstrap", "--dataset", str(corpus_csv), "--labels", "ClassA,ClassB",
+                     "--n", "10", "--out", str(tmp_path / "t.json"),
+                     "--map-out", str(missing / "map.json")],
+        "report.json": ["refine", "--taxonomy", str(_bootstrap(runner, corpus_csv, tmp_path)),
+                        "--validate", str(corpus_csv), "--label-map", str(tmp_path / "tax.labels.json"),
+                        "--m", "10", "--max-iters", "1", "--report", str(missing / "report.json")],
+    }
+    for name, args in invocations.items():
+        result = runner.invoke(main, ["--json-errors", *args])
+        assert result.exit_code == 1, result.output
+        payload = json.loads(result.output.strip().splitlines()[-1])
+        assert payload["error"] == "FileIOError"
+        assert str(missing / name) in payload["message"]
+
+
 def test_missing_taxonomy_file_is_operational_error(runner, tmp_path) -> None:
     result = runner.invoke(
         main, ["classify", "--taxonomy", str(tmp_path / "none.json"), "--text", "x"]
@@ -478,7 +515,7 @@ def test_templates_flag_overrides_shipped_prompt(runner, corpus_csv, tmp_path) -
 def test_templates_flag_does_not_outlive_its_invocation(runner, corpus_csv, tmp_path) -> None:
     override_dir = tmp_path / "templates"
     override_dir.mkdir()
-    (override_dir / "tag_generation.txt").write_text("DESCRIBE:flag,override\n", encoding="utf-8")
+    (override_dir / "tag_generation.txt").write_text("flag flag override\n", encoding="utf-8")
 
     def bootstrap_names(*flags: str) -> tuple[str, ...]:
         out = tmp_path / "tax.json"

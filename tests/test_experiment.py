@@ -122,7 +122,7 @@ def test_use_templates_reaches_bootstrap_inside_run_experiment(corpus_csv, tmp_p
         )
 
     shipped = run()
-    (tmp_path / "tag_generation.txt").write_text("DESCRIBE:deep,override\n", encoding="utf-8")
+    (tmp_path / "tag_generation.txt").write_text("deep deep override\n", encoding="utf-8")
     use_templates(tmp_path)
     overridden = run()
     assert [overridden["label_names"][label] for label in ("ClassA", "ClassB", "ClassC")] == [
@@ -250,13 +250,13 @@ ARTIFACTS = ("report.json", "predictions.jsonl", "taxonomy.json")
 
 
 # Known defect: persist_result replaces its three files one at a time, so a
-# failed rename leaves a mixed set of old and new files, and the error type
-# depends on which file failed. This table pins that outcome until it is fixed.
+# failed rename leaves a mixed set of old and new files. This table pins that
+# outcome until it is fixed; every failure is a FileIOError naming the file.
 @pytest.mark.parametrize(
     "failing_call, error, new_files",
     [
-        (1, OSError, set()),
-        (2, OSError, {"report.json"}),
+        (1, FileIOError, set()),
+        (2, FileIOError, {"report.json"}),
         (3, FileIOError, {"report.json", "predictions.jsonl"}),
     ],
 )
@@ -279,9 +279,10 @@ def test_persist_result_failing_mid_write_leaves_a_mixed_set(
         real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", replace_failing_once)
-    with pytest.raises((OSError, FileIOError)) as exc:
+    with pytest.raises(FileIOError) as exc:
         persist_result(result, out)
     assert type(exc.value) is error
+    assert str(out / ARTIFACTS[failing_call - 1]) in str(exc.value)
     assert sorted(path.name for path in out.iterdir()) == sorted(ARTIFACTS)  # no temp file left
     assert {name for name in ARTIFACTS if (out / name).read_bytes() == new[name]} == new_files
     assert all((out / name).read_bytes() == b"old\n" for name in set(ARTIFACTS) - new_files)
@@ -436,6 +437,11 @@ def test_minimal_plan_loads_to_the_dataclass_defaults(tmp_path, corpus_csv) -> N
     plan, config = load_plan(plan_path)
     assert plan == ExperimentPlan(DatasetKind.GENERIC_CSV, str(corpus_csv), ("ClassA",))
     assert config == RefinementConfig()
+
+
+def test_unreadable_plan_is_a_file_io_error(tmp_path) -> None:
+    with pytest.raises(FileIOError, match="cannot read plan"):
+        load_plan(tmp_path / "absent.json")
 
 
 @pytest.mark.parametrize(

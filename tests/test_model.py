@@ -218,6 +218,13 @@ def test_load_rejects_malformed_json(tmp_path) -> None:
         load_taxonomy(path)
 
 
+def test_load_rejects_a_file_that_is_not_utf8(tmp_path) -> None:
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"version": 1, "categories": [], "note": "café"}'.encode("latin-1"))
+    with pytest.raises(SchemaError, match="is not valid JSON"):
+        load_taxonomy(path)
+
+
 @pytest.mark.parametrize("value", [2.9, 2.0, True, "3", None])
 @pytest.mark.parametrize("key", ["version", "iteration"])
 def test_load_rejects_version_and_iteration_that_are_not_integers(tmp_path, key, value) -> None:

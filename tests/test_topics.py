@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+import logging
+
 import pytest
 
 from helpers import StubBackend, echo_contrast, make_taxonomy
@@ -35,6 +38,21 @@ def test_add_topic_without_contrast_is_strictly_isolated(mock_backend) -> None:
     new = result.categories[-1]
     assert new.provenance is Provenance.USER_DEFINED
     assert [entry.stage for entry in new.history] == [Stage.HITL]
+
+
+def test_add_topic_keeps_the_enriched_newcomer_when_contrast_matches_nothing(caplog) -> None:
+    taxonomy = _base_taxonomy()
+    enriched = json.dumps({"topic_name": "Cloud_Issues", "topic_description": "Covers ec2, azure."})
+    strangers = json.dumps([{"topic_name": "Nobody_Here", "topic_description": "Covers nothing."}])
+    backend = StubBackend([enriched, strangers])
+    with caplog.at_level(logging.WARNING, logger="tagcraft.topics"):
+        result = add_topic(TopicDescriptor("Cloud_Issues", "ec2 stuff"), taxonomy, backend)
+    assert len(backend.prompts) == 2  # one enrichment, one contrast batch
+    assert result.categories[:2] == taxonomy.categories
+    assert result.names() == taxonomy.names() + ("Cloud_Issues",)
+    assert result.categories[-1].descriptor.topic_description == "Covers ec2, azure."
+    assert [entry.stage for entry in result.categories[-1].history] == [Stage.HITL]
+    assert "post-edit contrast matched no categories" in caplog.text
 
 
 def test_add_topic_enriches_rough_description(mock_backend) -> None:
