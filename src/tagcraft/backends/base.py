@@ -52,8 +52,8 @@ class ScoreMap:
 @dataclass(frozen=True)
 class BackendCapabilities:
     """What a backend can do. ``max_concurrency`` is the most calls the
-    endpoint takes at once; every stage that fans calls out reads it here,
-    so it is the only concurrency setting.
+    endpoint takes at once: HttpBackend never has more open, from any thread,
+    and each stage that fans calls out keeps at most that many in flight.
     """
 
     model_id: str

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import logging
 import math
 import os
+import queue
 import re
 import select
 import ssl
-import threading
 import time
 import urllib.parse
 from typing import Sequence
@@ -54,13 +55,13 @@ class HttpBackend(Backend):
 
     Retries RateLimited and TransportError with bounded exponential backoff
     (MAX_RETRIES additional attempts), or after the numeric ``Retry-After``
-    of a 429 or 503; 4xx rejections are never retried. ``max_concurrency`` is
-    reported through capabilities(); the stages that fan calls out keep at
-    most that many in flight.
+    of a 429 or 503; 4xx rejections are never retried.
 
-    Connections are kept alive between calls. A call takes an idle one (or
-    opens one) and gives it back when the reply has been read, so no two
-    threads ever use one connection at a time.
+    Requests go out over ``max_concurrency`` slots, each a kept-alive
+    connection or None. A request waits for a free slot and gives it back
+    when the reply is read, so from any number of threads at most
+    ``max_concurrency`` requests are open, none on a shared connection, and
+    no retry's backoff holds a slot.
     """
 
     def __init__(
@@ -94,18 +95,24 @@ class HttpBackend(Backend):
             self._headers["Authorization"] = f"Bearer {self.api_key}"
         self.timeout = timeout
         self._capabilities = BackendCapabilities(model_id=self.model, max_concurrency=max_concurrency)
-        self._idle: list[http.client.HTTPConnection] = []
-        self._idle_lock = threading.Lock()
+        self._slots: queue.LifoQueue[http.client.HTTPConnection | None] = queue.LifoQueue()
+        for _ in range(max_concurrency):
+            self._slots.put(None)
 
     def capabilities(self) -> BackendCapabilities:
         return self._capabilities
 
     def close(self) -> None:
-        """Close the idle kept connections."""
-        with self._idle_lock:
-            idle, self._idle = self._idle, []
-        for connection in idle:
-            connection.close()
+        """Close the free slots' connections without waiting for requests in
+        flight, which keep theirs; the backend stays usable."""
+        free = []
+        with contextlib.suppress(queue.Empty):
+            while True:
+                free.append(self._slots.get_nowait())
+        for connection in free:
+            if connection is not None:
+                connection.close()
+            self._slots.put(None)
 
     # -- transport ----------------------------------------------------------
 
@@ -121,38 +128,34 @@ class HttpBackend(Backend):
             payload["top_logprobs"] = TOP_LOGPROBS
         return payload
 
-    def _connection(self) -> http.client.HTTPConnection:
-        """An idle connection the server has not closed, or a new one."""
-        while True:
-            with self._idle_lock:
-                if not self._idle:
-                    break
-                connection = self._idle.pop()
-            if not _closed_by_server(connection):
-                return connection
-            connection.close()
+    def _send(self, body: bytes) -> tuple[int, str | None, bytes]:
+        """One POST over a free slot's connection, or a new one if it has none
+        or the server closed it; returns the status, the Retry-After header
+        and the body. The slot keeps the connection only if the reply did."""
+        connection = self._slots.get()
+        kept = None
+        try:
+            if connection is None or _closed_by_server(connection):
+                if connection is not None:
+                    connection.close()
+                connection = self._new_connection()
+            connection.request("POST", self._path, body, self._headers)
+            response = connection.getresponse()
+            data = response.read()
+            if not response.will_close:
+                kept = connection
+        finally:
+            if kept is None and connection is not None:
+                connection.close()
+            self._slots.put(kept)
+        return response.status, response.getheader("Retry-After"), data
+
+    def _new_connection(self) -> http.client.HTTPConnection:
         if self._tls is None:
             return http.client.HTTPConnection(self._host, self._port, timeout=self.timeout)
         return http.client.HTTPSConnection(
             self._host, self._port, timeout=self.timeout, context=self._tls
         )
-
-    def _send(self, body: bytes) -> tuple[int, str | None, bytes]:
-        """One POST; returns the status, the Retry-After header and the body."""
-        connection = self._connection()
-        try:
-            connection.request("POST", self._path, body, self._headers)
-            response = connection.getresponse()
-            data = response.read()
-        except BaseException:
-            connection.close()
-            raise
-        if response.will_close:
-            connection.close()
-        else:
-            with self._idle_lock:
-                self._idle.append(connection)
-        return response.status, response.getheader("Retry-After"), data
 
     def _post(self, payload: dict) -> dict:
         body = json.dumps(payload, allow_nan=False).encode("utf-8")

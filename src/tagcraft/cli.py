@@ -23,7 +23,7 @@ from .classify import classify as classify_document
 from .describe import SamplePlan, bootstrap_taxonomy, contrast_taxonomy
 from .errors import TagcraftError
 from .extraction import extract_descriptor
-from .fileio import read_json_object, write_json_atomic
+from .fileio import READ_ENCODING, read_json_object, write_json_atomic
 from .model import (
     Document,
     RefinementConfig,
@@ -61,7 +61,7 @@ def _load_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     values: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in Path(path).read_text(encoding=READ_ENCODING).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -239,7 +239,7 @@ def classify(state: CliState, taxonomy_path, text, file_path, verbose):
     if (text is None) == (file_path is None):
         raise click.UsageError("provide exactly one of --text or --file")
     if file_path is not None:
-        text = Path(file_path).read_text(encoding="utf-8")
+        text = Path(file_path).read_text(encoding=READ_ENCODING)
     taxonomy = load_taxonomy(taxonomy_path)
     backend = state.make_backend()
     result = classify_document(Document(id="cli", text=text or ""), taxonomy, backend)
@@ -250,7 +250,7 @@ def classify(state: CliState, taxonomy_path, text, file_path, verbose):
 
 def _read_descriptor_options(name, description, from_json):
     if from_json:
-        descriptor = extract_descriptor(Path(from_json).read_text(encoding="utf-8"))
+        descriptor = extract_descriptor(Path(from_json).read_text(encoding=READ_ENCODING))
         if name is not None and name_key(descriptor.topic_name) != name_key(name):
             raise click.UsageError(f"--from-json describes {descriptor.topic_name!r}, not --name {name!r}")
         return descriptor
@@ -272,7 +272,7 @@ def _read_samples(samples_path: str | None) -> list[Document] | None:
         return None
     lines = [
         line.strip()
-        for line in Path(samples_path).read_text(encoding="utf-8").splitlines()
+        for line in Path(samples_path).read_text(encoding=READ_ENCODING).splitlines()
         if line.strip()
     ]
     return [Document(id=f"sample-{i + 1}", text=line) for i, line in enumerate(lines)]

@@ -9,6 +9,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import FileIOError, InsufficientDocsError, MalformedRowError, SchemaError
+from .fileio import READ_ENCODING
 from .model import Document, group_by_label
 
 AGNEWS_LABELS = ("World", "Sports", "Business", "Sci/Tech")
@@ -34,11 +35,13 @@ DBPEDIA_LABELS = (
 def _read_rows(path: str | Path) -> list[tuple[int, list[str]]]:
     """The non-blank rows, each with the physical line on which it ends."""
     try:
-        with Path(path).open("r", encoding="utf-8", newline="") as handle:
+        with Path(path).open("r", encoding=READ_ENCODING, newline="") as handle:
             reader = csv.reader(handle)
             return [(reader.line_num, row) for row in reader if row]
     except OSError as err:
         raise FileIOError(f"cannot read dataset {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"dataset {path} is not UTF-8 text: {err}") from err
 
 
 def _load_indexed_csv(path: str | Path, labels: Sequence[str]) -> list[Document]:

@@ -10,6 +10,9 @@ from pathlib import Path
 
 from .errors import FileIOError, SchemaError
 
+# Input files are UTF-8; a leading byte-order mark is dropped. Writers never add one.
+READ_ENCODING = "utf-8-sig"
+
 
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Replace ``path`` with ``text`` (UTF-8) so that readers, and a crash
@@ -53,7 +56,7 @@ def read_json_object(path: str | Path, what: str) -> dict:
     if the file cannot be read, ``SchemaError`` if it is not a JSON object.
     """
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding=READ_ENCODING))
     except OSError as err:
         raise FileIOError(f"cannot read {what} {path}: {err}") from err
     except (json.JSONDecodeError, UnicodeDecodeError) as err:  # JSON text is UTF-8

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from helpers import class_vocab, keyword_documents, write_generic_csv, write_plan
 from tagcraft import Document, MockBackend, RefinementConfig, refine_loop
+from tagcraft import experiment as xp
 from tagcraft.cli import CliState, main
 from tagcraft.datasets import load_generic_csv
 from tagcraft.model import load_taxonomy
@@ -96,6 +97,40 @@ def test_refine_command_reports_threshold_met(runner, corpus_csv, tmp_path) -> N
     report = json.loads((tmp_path / "tax.report.json").read_text(encoding="utf-8"))
     assert report["stop_reason"] == "threshold_met"
     assert report["iterations_run"] == 1
+
+
+def test_json_inputs_may_start_with_a_byte_order_mark(runner, corpus_csv, tmp_path) -> None:
+    out = _bootstrap(runner, corpus_csv, tmp_path)
+    label_map = tmp_path / "tax.labels.json"
+    plan = write_plan(tmp_path / "plan.json", corpus_csv, seen=["ClassA"], unseen=["ClassB"])
+    plain_plan = xp.load_plan(plan)
+    for path in (out, label_map, plan):
+        path.write_text(path.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    assert xp.load_plan(plan) == plain_plan
+    result = runner.invoke(
+        main,
+        [
+            "refine", "--taxonomy", str(out), "--validate", str(corpus_csv),
+            "--label-map", str(label_map), "--max-iters", "1", "--m", "10",
+        ],
+    )
+    assert result.exit_code == 0, result.output
+
+
+def test_dataset_that_is_not_utf8_is_a_schema_error_naming_the_file(runner, tmp_path) -> None:
+    dataset = tmp_path / "latin1.csv"
+    dataset.write_bytes("text,label\ncafé au lait,Drinks\n".encode("latin-1"))
+    result = runner.invoke(
+        main,
+        [
+            "--json-errors", "--backend", "mock",
+            "bootstrap", "--dataset", str(dataset), "--labels", "Drinks", "--out", str(tmp_path / "t.json"),
+        ],
+    )
+    assert result.exit_code == 1
+    payload = json.loads(result.output.strip().splitlines()[-1])
+    assert payload["error"] == "SchemaError"
+    assert str(dataset) in payload["message"]
 
 
 def test_refine_scripted_below_threshold_runs_four_rounds(runner, corpus_csv, tmp_path) -> None:
@@ -466,6 +501,23 @@ def test_config_file_supplies_defaults_and_flags_override(runner, corpus_csv, tm
         ],
     )
     assert result.exit_code == 0, result.output
+
+
+def test_config_file_may_start_with_a_byte_order_mark(runner, corpus_csv, tmp_path) -> None:
+    explicit = load_taxonomy(_bootstrap(runner, corpus_csv, tmp_path))
+    config = tmp_path / "conf.txt"
+    config.write_text("seed = 4\nn = 10\nbackend = mock\n", encoding="utf-8-sig")
+    out = tmp_path / "via-config.json"
+    result = runner.invoke(
+        main,
+        [
+            "--config", str(config),
+            "bootstrap", "--dataset", str(corpus_csv),
+            "--labels", "ClassA,ClassB,ClassC", "--out", str(out),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    assert load_taxonomy(out) == explicit
 
 
 @pytest.mark.parametrize(

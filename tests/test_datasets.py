@@ -56,6 +56,16 @@ def test_missing_file_is_io_failure(tmp_path) -> None:
         load_agnews(tmp_path / "absent.csv")
 
 
+@pytest.mark.parametrize("load", [load_agnews, load_dbpedia], ids=["agnews", "dbpedia"])
+def test_byte_order_mark_does_not_hide_the_first_row(tmp_path, load) -> None:
+    content = '"3","first","row"\n"1","second","row"\n'
+    path = tmp_path / "bom.csv"
+    path.write_text(content, encoding="utf-8-sig")
+    docs = load(path)
+    assert [d.text for d in docs] == ["first row", "second row"]
+    assert docs == load(_write(tmp_path, "plain.csv", content))
+
+
 def test_agnews_error_names_the_line_the_row_is_on(tmp_path) -> None:
     # The first row spans lines 1-2, so the bad row is on line 3.
     path = _write(tmp_path, "ag.csv", '1,"a\nb",c\n9,x,y\n')
@@ -108,6 +118,15 @@ def test_generic_csv_loads_text_and_label(tmp_path) -> None:
     docs = load_generic_csv(path)
     assert docs[0].text == "hello world"
     assert docs[0].gold_label == "Greeting"
+
+
+def test_generic_csv_header_may_start_with_a_byte_order_mark(tmp_path) -> None:
+    content = "text,label\nhello world,Greeting\n"
+    path = tmp_path / "bom.csv"
+    path.write_text(content, encoding="utf-8-sig")
+    docs = load_generic_csv(path)
+    assert [(d.text, d.gold_label) for d in docs] == [("hello world", "Greeting")]
+    assert docs == load_generic_csv(_write(tmp_path, "plain.csv", content))
 
 
 def test_generic_csv_empty_cell_is_malformed(tmp_path) -> None:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import tagcraft
 from helpers import make_taxonomy
-from tagcraft import Document, PromptRequest, ScoringPath, classify_batch
+from tagcraft import Document, PromptRequest, ScoringPath, classify, classify_batch
 from tagcraft.backends import http as http_module
 from tagcraft.backends.base import NEG_SENTINEL
 from tagcraft.backends.http import (
@@ -237,6 +237,48 @@ def test_classify_batch_keeps_http_requests_within_max_concurrency(scripted_serv
     assert 1 < scripted_server.handlers[0].peak <= 2
 
 
+def _in_threads(target, args: list) -> list:
+    """``target(arg)`` for each of ``args``, each on its own thread; the
+    results in order. An exception or a thread still running after 30 s
+    fails the test."""
+    results: list = [None] * len(args)
+    errors: list[BaseException] = []
+
+    def run(i: int) -> None:
+        try:
+            results[i] = target(args[i])
+        except BaseException as err:  # reported by the assertion below
+            errors.append(err)
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(len(args))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert errors == [] and not any(thread.is_alive() for thread in threads)
+    return results
+
+
+def test_threads_calling_classify_share_max_concurrency(scripted_server) -> None:
+    base = scripted_server([(200, _completion("Alpha"))], base=_InFlight)
+    taxonomy = make_taxonomy([("Alpha", "a"), ("Beta", "b")])
+    backend = _backend(base, max_concurrency=2)
+    docs = [Document(id=str(i), text=f"document {i}") for i in range(6)]
+    results = _in_threads(lambda doc: classify(doc, taxonomy, backend), docs)
+    assert [r.predicted for r in results] == ["Alpha"] * 6
+    assert 1 < scripted_server.handlers[0].peak <= 2
+
+
+def test_threads_running_batches_share_max_concurrency(scripted_server) -> None:
+    base = scripted_server([(200, _completion("Alpha"))], base=_InFlight)
+    taxonomy = make_taxonomy([("Alpha", "a"), ("Beta", "b")])
+    backend = _backend(base, max_concurrency=2)
+    batches = [[Document(id=f"{t}-{i}", text=f"document {i}") for i in range(8)] for t in range(2)]
+    results = _in_threads(lambda docs: classify_batch(docs, taxonomy, backend), batches)
+    assert [r.predicted for batch in results for r in batch] == ["Alpha"] * 16
+    assert 1 < scripted_server.handlers[0].peak <= 2
+
+
 def test_missing_configuration_rejected(monkeypatch) -> None:
     monkeypatch.delenv("LLM_BASE_URL", raising=False)
     monkeypatch.delenv("LLM_MODEL", raising=False)
@@ -415,6 +457,69 @@ def test_retry_after_sets_the_wait(scripted_server, monkeypatch, status, retry_a
     backend = _backend(base)
     assert backend.complete(PromptRequest(user_text="hello")) == "late reply"
     assert sleeps == [expected]
+
+
+def test_a_retry_backoff_holds_no_slot(scripted_server) -> None:
+    handler = type("RetryAfter", (_RetryAfter,), {"status": 503, "retry_after": "1"})
+    base = scripted_server([(200, _completion("reply"))], base=handler)
+    seen = scripted_server.handlers[0].requests_seen
+    backend = _backend(base, max_concurrency=1)
+    first = threading.Thread(target=backend.complete, args=(PromptRequest(user_text="first"),), daemon=True)
+    first.start()
+    deadline = time.monotonic() + 10
+    while not seen and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert backend.complete(PromptRequest(user_text="second")) == "reply"
+    assert first.is_alive()  # still waiting out its Retry-After
+    first.join(timeout=10)
+    contents = [body["messages"][0]["content"] for body in seen[1:]]
+    assert contents == ["second", "first"]
+
+
+class _Held(_KeepAlive):
+    """Reports each request on ``arrived``, then answers it once ``release``
+    is set."""
+
+    arrived: queue.Queue
+    release: threading.Event
+
+    def do_POST(self):  # noqa: N802 (http.server API)
+        cls = type(self)
+        cls.arrived.put(None)
+        cls.release.wait(timeout=10)
+        super().do_POST()
+
+
+def test_close_leaves_requests_in_flight_and_every_slot(scripted_server) -> None:
+    scripted_server([], base=_Held)
+    handler = scripted_server.handlers[0]
+    handler.arrived, handler.release = queue.Queue(), threading.Event()
+    backend = _backend(f"http://127.0.0.1:{handler.server.server_port}", max_concurrency=2)
+
+    def send(prompt: str) -> str:
+        return backend.complete(PromptRequest(user_text=prompt))
+
+    def both_open_at_once(prompts: list[str]) -> list[str]:
+        """Sends the two prompts from two threads, and answers them only once
+        both are open at the server; close() runs while they are open."""
+        handler.release.clear()
+        replies: list[str] = []
+        thread = threading.Thread(target=lambda: replies.extend(_in_threads(send, prompts)), daemon=True)
+        thread.start()
+        for _ in prompts:
+            handler.arrived.get(timeout=10)
+        backend.close()
+        handler.release.set()
+        thread.join(timeout=30)
+        return replies
+
+    try:
+        assert both_open_at_once(["a", "b"]) == ["a", "b"]
+        backend.close()
+        assert both_open_at_once(["c", "d"]) == ["c", "d"]
+    finally:
+        handler.release.set()
+        backend.close()
 
 
 def test_import_leaves_requests_unloaded() -> None:

@@ -70,6 +70,12 @@ def test_template_override_directory(tmp_path) -> None:
     assert request.user_text.startswith("CUSTOM doc")
 
 
+def test_template_override_byte_order_mark_is_not_prompt_text(tmp_path) -> None:
+    (tmp_path / "classify.txt").write_text("CUSTOM {document}", encoding="utf-8-sig")
+    use_templates(tmp_path)
+    assert render(TemplateId.CLASSIFY, {"document": "doc"}).user_text.startswith("CUSTOM doc")
+
+
 def test_override_directory_missing_file_falls_back(tmp_path) -> None:
     use_templates(str(tmp_path))
     request = render(TemplateId.CLASSIFY, {"document": "doc", "descriptor_block": "- A: a"})
