@@ -8,7 +8,6 @@ import functools
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..errors import NoCandidatesError
 from ..model import name_key
 
 # Finite stand-in for "impossible" in fallback scoring (scores must stay finite).
@@ -99,6 +98,6 @@ def _check_names(names: tuple[str, ...]) -> None:
     document against the same tuple, so it is checked once. A failed check
     raises and is not cached."""
     if not names:
-        raise NoCandidatesError("score_labels requires at least one candidate")
+        raise ValueError("score_labels requires at least one candidate")
     if len({name_key(name) for name in names}) != len(names):
         raise ValueError("candidate names must be unique (case-insensitively)")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 from .backends.base import Backend, ScoreMap
-from .errors import ClassificationError, EmptyTaxonomyError, FallbackParseError, PromptBudgetError
+from .errors import ClassificationError, FallbackParseError, PromptBudgetError
 from .fanout import ordered_map
 from .model import Document, Taxonomy, name_key
 from .prompts import TemplateId, render
@@ -107,7 +107,7 @@ def _classify(
     so a batch builds both once.
     """
     if not names:
-        raise EmptyTaxonomyError("cannot classify against an empty taxonomy")
+        raise ValueError("cannot classify against an empty taxonomy")
     if not document.text or not document.text.strip():
         raise ValueError(f"document {document.id!r} has empty text")
     request = render(TemplateId.CLASSIFY, {"document": document.text, "descriptor_block": block})

@@ -21,9 +21,9 @@ from . import experiment as xp
 from .backends import Backend, HttpBackend, MockBackend
 from .classify import classify as classify_document
 from .describe import SamplePlan, bootstrap_taxonomy, contrast_taxonomy
-from .errors import TagcraftError
+from .errors import FileIOError, SchemaError, TagcraftError
 from .extraction import extract_descriptor
-from .fileio import READ_ENCODING, read_json_object, write_json_atomic
+from .fileio import read_json_object, read_text, write_json_atomic
 from .model import (
     Document,
     RefinementConfig,
@@ -57,11 +57,16 @@ class CliState:
 
 
 def _load_config(path: str | None) -> dict[str, str]:
-    """Parse a flat "key = value" config file; '#' starts a comment."""
+    """Parse a flat "key = value" config file; '#' starts a comment. A file
+    that cannot be read, or is not UTF-8, is a usage error."""
     if not path:
         return {}
+    try:
+        text = read_text(path, "config")
+    except (FileIOError, SchemaError) as err:
+        raise click.UsageError(str(err)) from err
     values: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding=READ_ENCODING).splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -239,7 +244,7 @@ def classify(state: CliState, taxonomy_path, text, file_path, verbose):
     if (text is None) == (file_path is None):
         raise click.UsageError("provide exactly one of --text or --file")
     if file_path is not None:
-        text = Path(file_path).read_text(encoding=READ_ENCODING)
+        text = read_text(file_path, "document")
     taxonomy = load_taxonomy(taxonomy_path)
     backend = state.make_backend()
     result = classify_document(Document(id="cli", text=text or ""), taxonomy, backend)
@@ -250,7 +255,7 @@ def classify(state: CliState, taxonomy_path, text, file_path, verbose):
 
 def _read_descriptor_options(name, description, from_json):
     if from_json:
-        descriptor = extract_descriptor(Path(from_json).read_text(encoding=READ_ENCODING))
+        descriptor = extract_descriptor(read_text(from_json, "descriptor"))
         if name is not None and name_key(descriptor.topic_name) != name_key(name):
             raise click.UsageError(f"--from-json describes {descriptor.topic_name!r}, not --name {name!r}")
         return descriptor
@@ -270,11 +275,7 @@ def _read_descriptor_options(name, description, from_json):
 def _read_samples(samples_path: str | None) -> list[Document] | None:
     if not samples_path:
         return None
-    lines = [
-        line.strip()
-        for line in Path(samples_path).read_text(encoding=READ_ENCODING).splitlines()
-        if line.strip()
-    ]
+    lines = [line.strip() for line in read_text(samples_path, "samples").splitlines() if line.strip()]
     return [Document(id=f"sample-{i + 1}", text=line) for i, line in enumerate(lines)]
 
 

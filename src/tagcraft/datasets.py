@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import FileIOError, InsufficientDocsError, MalformedRowError, SchemaError
+from .errors import FileIOError, SchemaError
 from .fileio import READ_ENCODING
 from .model import Document, group_by_label
 
@@ -44,6 +44,10 @@ def _read_rows(path: str | Path) -> list[tuple[int, list[str]]]:
         raise SchemaError(f"dataset {path} is not UTF-8 text: {err}") from err
 
 
+def _malformed(line: int, message: str) -> SchemaError:
+    return SchemaError(f"malformed row at line {line}: {message}")
+
+
 def _load_indexed_csv(path: str | Path, labels: Sequence[str]) -> list[Document]:
     """Shared loader for the class-index CSV layout (index, title, body...).
 
@@ -60,18 +64,16 @@ def _load_indexed_csv(path: str | Path, labels: Sequence[str]) -> list[Document]
             except ValueError:
                 continue  # header row
         if len(row) < 2:
-            raise MalformedRowError(line, f"expected at least 2 columns, got {len(row)}")
+            raise _malformed(line, f"expected at least 2 columns, got {len(row)}")
         try:
             index = int(row[0])
         except ValueError as err:
-            raise MalformedRowError(line, f"class index {row[0]!r} is not an integer") from err
+            raise _malformed(line, f"class index {row[0]!r} is not an integer") from err
         if not 1 <= index <= len(labels):
-            raise MalformedRowError(
-                line, f"class index {index} outside 1..{len(labels)}"
-            )
+            raise _malformed(line, f"class index {index} outside 1..{len(labels)}")
         text = " ".join(cell.strip() for cell in row[1:] if cell.strip())
         if not text:
-            raise MalformedRowError(line, "empty document text")
+            raise _malformed(line, "empty document text")
         documents.append(
             Document(id=f"r{len(documents) + 1}", text=text, gold_label=labels[index - 1])
         )
@@ -106,7 +108,7 @@ def load_generic_csv(path: str | Path) -> list[Document]:
         text = cells.get("text", "").strip()
         label = cells.get("label", "").strip()
         if not text or not label:
-            raise MalformedRowError(line, "empty text or label")
+            raise _malformed(line, "empty text or label")
         documents.append(Document(id=f"r{len(documents) + 1}", text=text, gold_label=label))
     return documents
 
@@ -138,7 +140,7 @@ def split_seen_unseen(
     (used only when the class is introduced with exemplars).
 
     Raises:
-        InsufficientDocsError: when a class cannot fill its buckets.
+        SchemaError: when a class cannot fill its buckets.
     """
     grouped = group_by_label(documents)
     seen_train: dict[str, tuple[Document, ...]] = {}
@@ -147,22 +149,24 @@ def split_seen_unseen(
     unseen_test: dict[str, tuple[Document, ...]] = {}
     unseen_bootstrap: dict[str, tuple[Document, ...]] = {}
 
-    for label in seen_labels:
+    def shuffled_pool(label: str, needed: int) -> list[Document]:
         pool = list(grouped.get(label, []))
-        needed = n_bootstrap + m_validate + test_per_class
         if len(pool) < needed:
-            raise InsufficientDocsError(label, needed, len(pool))
+            raise SchemaError(
+                f"class {label!r} needs {needed} documents but only {len(pool)} are available"
+            )
         random.Random(f"{seed}:{label}").shuffle(pool)
+        return pool
+
+    for label in seen_labels:
+        pool = shuffled_pool(label, n_bootstrap + m_validate + test_per_class)
         seen_train[label] = tuple(pool[:n_bootstrap])
         seen_validate[label] = tuple(pool[n_bootstrap : n_bootstrap + m_validate])
         seen_test[label] = tuple(
             pool[n_bootstrap + m_validate : n_bootstrap + m_validate + test_per_class]
         )
     for label in unseen_labels:
-        pool = list(grouped.get(label, []))
-        if len(pool) < test_per_class:
-            raise InsufficientDocsError(label, test_per_class, len(pool))
-        random.Random(f"{seed}:{label}").shuffle(pool)
+        pool = shuffled_pool(label, test_per_class)
         unseen_test[label] = tuple(pool[:test_per_class])
         unseen_bootstrap[label] = tuple(pool[test_per_class : test_per_class + n_bootstrap])
     return SplitSet(

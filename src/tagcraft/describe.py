@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .backends.base import Backend
-from .errors import ContrastDroppedAllError, NoDocumentsError
+from .errors import ContrastDroppedAllError
 from .extraction import descriptor_to_json, request_descriptor, request_descriptor_set
 from .fanout import ordered_map
 from .model import (
@@ -51,14 +51,14 @@ def sample_bootstrap(documents: Sequence[Document], plan: SamplePlan) -> list[Do
     replacement seeded with plan.seed. Deterministic given inputs.
     """
     if not documents:
-        raise NoDocumentsError("no documents to sample from")
+        raise ValueError("no documents to sample from")
     return random.Random(plan.seed).sample(list(documents), min(plan.n, len(documents)))
 
 
 def bootstrap_category(samples: Sequence[Document], backend: Backend) -> TopicDescriptor:
     """Generate one descriptor covering the sampled documents."""
     if not samples:
-        raise NoDocumentsError("bootstrap requires at least one sample")
+        raise ValueError("bootstrap requires at least one sample")
     request = render(
         TemplateId.TAG_GENERATION, {"document": format_sample_block(d.text for d in samples)}
     )
@@ -85,7 +85,7 @@ def bootstrap_taxonomy(
     for label in labels:
         docs = grouped.get(label)
         if not docs:
-            raise NoDocumentsError(f"no documents labeled {label!r}")
+            raise ValueError(f"no documents labeled {label!r}")
         samples.append(sample_bootstrap(docs, plan))
     descriptors = ordered_map(
         lambda chosen: bootstrap_category(chosen, backend),

@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the package.
 
-Precondition violations on plain arguments raise ``ValueError`` directly;
-the classes below cover contract-level failures callers may want to
-distinguish (I/O, schema, backend transport, parsing, taxonomy identity).
+A class exists here only when code in the package catches it by type or
+reads its data, or when it names a fault a caller counts apart (the backend
+faults). Otherwise a precondition on a plain argument raises ``ValueError``,
+and bad input data (a dataset row, a run file, a gold label, a class too
+small to split) raises ``SchemaError`` with a message naming its source.
 """
 
 from __future__ import annotations
@@ -12,39 +14,27 @@ class TagcraftError(Exception):
     """Base class for all package-specific errors."""
 
 
-class EmptyNameError(TagcraftError, ValueError):
-    """A category name is empty after normalization."""
-
-
 class FileIOError(TagcraftError):
     """A file could not be read or written."""
 
 
 class SchemaError(TagcraftError):
-    """A persisted file does not match its expected schema."""
+    """Input data does not have the expected shape; the message names its source."""
 
 
-class BackendError(TagcraftError):
-    """Base class for LLM backend failures."""
+class TransportError(TagcraftError):
+    """Backend network-level failure or server error; retryable."""
 
 
-class TransportError(BackendError):
-    """Network-level failure or server error; retryable."""
+class RateLimitedError(TagcraftError):
+    """Backend HTTP 429; retryable with backoff."""
 
 
-class RateLimitedError(BackendError):
-    """HTTP 429; retryable with backoff."""
-
-
-class BackendRejectedError(BackendError):
+class BackendRejectedError(TagcraftError):
     """Non-retryable 4xx rejection from the backend."""
 
 
-class NoCandidatesError(BackendError, ValueError):
-    """score_labels was called with an empty candidate list."""
-
-
-class FallbackParseError(BackendError):
+class FallbackParseError(TagcraftError):
     """Completion-based label scoring matched no candidate (or several)."""
 
 
@@ -67,36 +57,12 @@ class ContrastDroppedAllError(TagcraftError):
     """A contrast reply matched none of the existing category names."""
 
 
-class NoDocumentsError(TagcraftError, ValueError):
-    """An operation that needs documents received none."""
-
-
-class UnknownGoldLabelError(TagcraftError):
-    """A validation document's gold label is not a taxonomy category."""
-
-    def __init__(self, document_id: str, label: str | None = None):
-        super().__init__(document_id, label)
-        self.document_id = document_id
-        self.label = label
-
-    def __str__(self) -> str:
-        return f"document {self.document_id!r} has unknown gold label {self.label!r}"
-
-
-class MissingSamplesError(TagcraftError):
-    """A validation outcome lacks the samples needed for pair adaptation."""
-
-
 class DuplicateNameError(TagcraftError):
     """A category with this name (case-insensitively) already exists."""
 
 
 class UnknownCategoryError(TagcraftError):
     """The named category does not exist in the taxonomy."""
-
-
-class EmptyTaxonomyError(TagcraftError):
-    """Classification was requested against a taxonomy with no categories."""
 
 
 class PromptBudgetError(TagcraftError):
@@ -117,34 +83,6 @@ class ClassificationError(TagcraftError):
 
     def __str__(self) -> str:
         return f"classification failed for document {self.document_id!r}: {self.message}"
-
-
-class MalformedRowError(TagcraftError):
-    """A dataset CSV row could not be parsed."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(line, message)
-        self.line = line
-        self.message = message
-
-    def __str__(self) -> str:
-        return f"malformed row at line {self.line}: {self.message}"
-
-
-class InsufficientDocsError(TagcraftError):
-    """A class does not have enough documents for the requested split."""
-
-    def __init__(self, label: str, needed: int, available: int):
-        super().__init__(label, needed, available)
-        self.label = label
-        self.needed = needed
-        self.available = available
-
-    def __str__(self) -> str:
-        return (
-            f"class {self.label!r} needs {self.needed} documents "
-            f"but only {self.available} are available"
-        )
 
 
 class RefinementAbortedError(TagcraftError):

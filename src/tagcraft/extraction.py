@@ -15,7 +15,7 @@ from itertools import chain
 from typing import Iterator, Mapping
 
 from .backends.base import Backend, PromptRequest
-from .errors import DescriptorParseError, EmptyNameError
+from .errors import DescriptorParseError
 from .model import TopicDescriptor
 
 _FENCE = re.compile(r"```[a-zA-Z0-9_-]*\n(.*?)```", re.DOTALL)
@@ -106,7 +106,7 @@ def _descriptor_from_mapping(data: Mapping) -> TopicDescriptor:
         raise DescriptorParseError("JSON object lacks topic name/description string keys")
     try:
         return TopicDescriptor(name, description)
-    except (EmptyNameError, ValueError) as err:
+    except ValueError as err:
         raise DescriptorParseError(str(err)) from err
 
 

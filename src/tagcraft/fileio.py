@@ -1,4 +1,4 @@
-"""Run-file I/O: crash-safe writes, and JSON object reads with one error policy."""
+"""Run-file I/O: crash-safe writes, and text and JSON object reads with one error policy."""
 
 from __future__ import annotations
 
@@ -51,15 +51,26 @@ def write_json_atomic(path: str | Path, data: object) -> None:
     write_text_atomic(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def read_json_object(path: str | Path, what: str) -> dict:
-    """The JSON object in ``path``, named ``what`` in errors: ``FileIOError``
-    if the file cannot be read, ``SchemaError`` if it is not a JSON object.
+def read_text(path: str | Path, what: str) -> str:
+    """The UTF-8 text of ``path``, named ``what`` in errors: ``FileIOError``
+    if the file cannot be read, ``SchemaError`` if it is not UTF-8.
     """
     try:
-        data = json.loads(Path(path).read_text(encoding=READ_ENCODING))
+        return Path(path).read_text(encoding=READ_ENCODING)
     except OSError as err:
         raise FileIOError(f"cannot read {what} {path}: {err}") from err
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:  # JSON text is UTF-8
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"{what} {path} is not UTF-8 text: {err}") from err
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in ``path``, named ``what`` in errors: ``FileIOError``
+    if the file cannot be read, ``SchemaError`` if it is not UTF-8 text
+    holding a JSON object.
+    """
+    try:
+        data = json.loads(read_text(path, what))
+    except json.JSONDecodeError as err:
         raise SchemaError(f"{what} {path} is not valid JSON: {err}") from err
     if not isinstance(data, dict):
         raise SchemaError(f"{what} {path} must contain a JSON object")

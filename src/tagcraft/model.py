@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import EmptyNameError, SchemaError
+from .errors import SchemaError
 from .fileio import read_json_object, write_text_atomic
 
 
@@ -25,13 +25,13 @@ def normalize_name(raw: str) -> str:
     underscores, preserving letter case. Idempotent.
 
     Raises:
-        EmptyNameError: if nothing remains after normalization.
+        ValueError: if nothing remains after normalization.
     """
     # Bare str.split() splits on runs of str.isspace() characters, the set
     # the regex \s matches, and drops them at both ends.
     name = "_".join(raw.split())
     if not name:
-        raise EmptyNameError("category name is empty after normalization")
+        raise ValueError("category name is empty after normalization")
     return name
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 from .backends.base import PromptRequest
 from .errors import UnboundPlaceholderError
-from .fileio import READ_ENCODING
+from .fileio import read_text
 
 # Characters of one rendered sample line before truncation.
 SAMPLE_CHAR_BUDGET = 500
@@ -68,7 +68,7 @@ def _template_text(template: TemplateId) -> str:
     if _templates_dir is not None:
         override = _templates_dir / f"{template.value}.txt"
         if override.is_file():
-            return override.read_text(encoding=READ_ENCODING)
+            return read_text(override, "template")
     resource = files("tagcraft").joinpath("templates", f"{template.value}.txt")
     return resource.read_text(encoding="utf-8")
 

@@ -22,12 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .backends.base import Backend
 from .classify import EvalReport, classify_labeled
-from .errors import (
-    MissingSamplesError,
-    RefinementAbortedError,
-    UnknownCategoryError,
-    UnknownGoldLabelError,
-)
+from .errors import RefinementAbortedError, SchemaError, UnknownCategoryError
 from .extraction import descriptor_to_json, request_descriptor
 from .fanout import ordered_map
 from .model import (
@@ -96,7 +91,7 @@ def validate_category_set(
         label = document.gold_label
         category = taxonomy.get(label) if label and label.strip() else None
         if category is None:
-            raise UnknownGoldLabelError(document.id, label)
+            raise SchemaError(f"document {document.id!r} has unknown gold label {label!r}")
         labeled.append((category.name, document))
 
     covered = {gold for gold, _ in labeled}
@@ -217,7 +212,7 @@ def adapt_pair(
         raise UnknownCategoryError(f"unknown category {pair.wrong!r}")
     right, wrong_docs = outcome.samples(correct_category.name, wrong_category.name)
     if not wrong_docs:
-        raise MissingSamplesError(
+        raise ValueError(
             f"no validation samples for confusion {pair.correct!r} -> {pair.wrong!r}"
         )
     return sharpen_description(

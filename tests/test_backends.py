@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from tagcraft import Document, MockBackend, PromptRequest, TemplateId, render
 from tagcraft.backends.base import BackendCapabilities, check_candidates
-from tagcraft.errors import NoCandidatesError
 from tagcraft.prompts import format_sample_block
 
 CLASSIFY_PROMPT = (
@@ -43,7 +42,7 @@ def test_single_candidate_is_trivially_max(mock_backend: MockBackend) -> None:
 
 
 def test_scoring_requires_candidates(mock_backend: MockBackend) -> None:
-    with pytest.raises(NoCandidatesError):
+    with pytest.raises(ValueError, match="^score_labels requires at least one candidate$"):
         mock_backend.score_labels(_request("text"), [])
 
 
@@ -56,9 +55,9 @@ def test_candidate_check_repeats_its_verdict_on_every_call(mock_backend: MockBac
     for _ in range(3):
         with pytest.raises(ValueError):
             check_candidates(["A", "B", " a "])
-        with pytest.raises(NoCandidatesError):
+        with pytest.raises(ValueError, match="^score_labels requires at least one candidate$"):
             check_candidates([])
-        with pytest.raises(NoCandidatesError):
+        with pytest.raises(ValueError, match="^score_labels requires at least one candidate$"):
             mock_backend.score_labels(_request("text"), ())
     names = ["Sports", "Business"]
     assert check_candidates(names) == check_candidates(tuple(names)) == names

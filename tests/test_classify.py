@@ -12,7 +12,7 @@ from tagcraft.classify import (
     argmax,
     classify_labeled,
 )
-from tagcraft.errors import ClassificationError, EmptyTaxonomyError, FallbackParseError, PromptBudgetError
+from tagcraft.errors import ClassificationError, FallbackParseError, PromptBudgetError
 
 
 def _score_backend(scores: dict[str, float]) -> StubBackend:
@@ -43,7 +43,7 @@ def test_single_category_always_wins(mock_backend: MockBackend) -> None:
 def test_empty_taxonomy_rejected(mock_backend: MockBackend) -> None:
     from tagcraft import Taxonomy
 
-    with pytest.raises(EmptyTaxonomyError):
+    with pytest.raises(ValueError, match="^cannot classify against an empty taxonomy$"):
         classify(Document(id="d", text="t"), Taxonomy(), mock_backend)
 
 

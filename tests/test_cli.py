@@ -133,6 +133,36 @@ def test_dataset_that_is_not_utf8_is_a_schema_error_naming_the_file(runner, tmp_
     assert str(dataset) in payload["message"]
 
 
+@pytest.mark.parametrize("option", ["--config", "--file", "--samples", "--from-json", "--templates"])
+def test_input_file_that_is_not_utf8_is_an_error_naming_the_file(
+    runner, corpus_csv, tmp_path, option
+) -> None:
+    taxonomy = str(_bootstrap(runner, corpus_csv, tmp_path))
+    # Named as a template override, and read as Latin-1 fit for every option.
+    bad = tmp_path / "templates" / "classify.txt"
+    bad.parent.mkdir()
+    bad.write_bytes('{"topic_name": "Cafe", "topic_description": "café au lait"}\n'.encode("latin-1"))
+    classify = ["classify", "--taxonomy", taxonomy, "--text", "x"]
+    add_topic = ["add-topic", "--taxonomy", taxonomy]
+    args = {
+        "--config": ["--config", str(bad), *classify],
+        "--file": ["classify", "--taxonomy", taxonomy, "--file", str(bad)],
+        "--samples": [*add_topic, "--name", "Cafe", "--description", "coffee", "--samples", str(bad)],
+        "--from-json": [*add_topic, "--from-json", str(bad)],
+        "--templates": ["--templates", str(bad.parent), *classify],
+    }[option]
+    result = runner.invoke(main, ["--json-errors", *args])
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    if option == "--config":  # read while the flags are parsed: a usage error
+        assert result.exit_code == 2
+        assert f"config {bad} is not UTF-8 text" in result.output
+        return
+    assert result.exit_code == 1
+    payload = json.loads(result.output.strip().splitlines()[-1])
+    assert payload["error"] == "SchemaError"
+    assert f"{bad} is not UTF-8 text" in payload["message"]
+
+
 def test_refine_scripted_below_threshold_runs_four_rounds(runner, corpus_csv, tmp_path) -> None:
     # Inseparable validation corpus: identical texts under all three labels, so
     # at least one category stays at zero accuracy no matter how descriptions
@@ -329,6 +359,19 @@ def test_run_command_rejects_seen_labels_that_are_not_a_list_of_strings(
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "error: invalid plan" in result.output
     assert "seen_labels must be a list of strings" in result.output
+
+
+def test_run_command_reports_a_class_too_small_for_the_plan(runner, corpus_csv, tmp_path) -> None:
+    plan = write_plan(tmp_path / "plan.json", corpus_csv, seen=["ClassA"], unseen=["ClassB"])
+    result = runner.invoke(
+        main, ["--json-errors", "run", "--plan", str(plan), "--out", str(tmp_path / "runout")]
+    )
+    assert result.exit_code == 1
+    payload = json.loads(result.output.strip().splitlines()[-1])
+    assert payload == {
+        "error": "SchemaError",
+        "message": "class 'ClassA' needs 145 documents but only 30 are available",
+    }
 
 
 def test_unknown_subcommand_exits_two(runner) -> None:

@@ -11,7 +11,7 @@ from tagcraft.datasets import (
     load_generic_csv,
     split_seen_unseen,
 )
-from tagcraft.errors import FileIOError, InsufficientDocsError, MalformedRowError, SchemaError
+from tagcraft.errors import FileIOError, SchemaError
 
 
 def _write(tmp_path, name: str, content: str):
@@ -33,9 +33,8 @@ def test_agnews_row_maps_index_to_label(tmp_path) -> None:
 
 def test_agnews_index_zero_is_malformed(tmp_path) -> None:
     path = _write(tmp_path, "ag.csv", '"0","title","body"\n')
-    with pytest.raises(MalformedRowError) as exc:
+    with pytest.raises(SchemaError, match=r"^malformed row at line 1: class index 0 outside 1\.\.4$"):
         load_agnews(path)
-    assert exc.value.line == 1
 
 
 def test_agnews_quoted_commas_stay_one_field(tmp_path) -> None:
@@ -69,9 +68,8 @@ def test_byte_order_mark_does_not_hide_the_first_row(tmp_path, load) -> None:
 def test_agnews_error_names_the_line_the_row_is_on(tmp_path) -> None:
     # The first row spans lines 1-2, so the bad row is on line 3.
     path = _write(tmp_path, "ag.csv", '1,"a\nb",c\n9,x,y\n')
-    with pytest.raises(MalformedRowError) as exc:
+    with pytest.raises(SchemaError, match=r"^malformed row at line 3: class index 9 outside 1\.\.4$"):
         load_agnews(path)
-    assert exc.value.line == 3
 
 
 # -- DBpedia ---------------------------------------------------------------------
@@ -86,7 +84,7 @@ def test_dbpedia_highest_index_maps(tmp_path) -> None:
 
 def test_dbpedia_index_out_of_range(tmp_path) -> None:
     path = _write(tmp_path, "db.csv", '"15","x","y"\n')
-    with pytest.raises(MalformedRowError):
+    with pytest.raises(SchemaError, match=r"^malformed row at line 1: class index 15 outside 1\.\.14$"):
         load_dbpedia(path)
 
 
@@ -99,9 +97,10 @@ def test_header_detected_and_loads_identically(tmp_path) -> None:
 
 def test_nonnumeric_index_on_data_row_is_malformed(tmp_path) -> None:
     body = '"1","ok","row"\n"oops","bad","row"\n'
-    with pytest.raises(MalformedRowError) as exc:
+    with pytest.raises(
+        SchemaError, match=r"^malformed row at line 2: class index 'oops' is not an integer$"
+    ):
         load_dbpedia(_write(tmp_path, "bad.csv", body))
-    assert exc.value.line == 2
 
 
 # -- generic CSV -------------------------------------------------------------------
@@ -131,15 +130,14 @@ def test_generic_csv_header_may_start_with_a_byte_order_mark(tmp_path) -> None:
 
 def test_generic_csv_empty_cell_is_malformed(tmp_path) -> None:
     path = _write(tmp_path, "g.csv", "text,label\n,Greeting\n")
-    with pytest.raises(MalformedRowError):
+    with pytest.raises(SchemaError, match="^malformed row at line 2: empty text or label$"):
         load_generic_csv(path)
 
 
 def test_generic_csv_error_names_the_line_the_row_is_on(tmp_path) -> None:
     path = _write(tmp_path, "g.csv", "text,label\n\nhello,A\n,B\n")
-    with pytest.raises(MalformedRowError) as exc:
+    with pytest.raises(SchemaError, match="^malformed row at line 4: empty text or label$"):
         load_generic_csv(path)
-    assert exc.value.line == 4
 
 
 def test_generic_csv_header_is_case_blind_and_extra_columns_are_ignored(tmp_path) -> None:
@@ -200,10 +198,10 @@ def test_split_different_seed_differs() -> None:
 
 def test_split_insufficient_docs_names_class_and_counts() -> None:
     docs = keyword_documents(class_vocab(4), per_class=100, seed=1)  # < 145 needed
-    with pytest.raises(InsufficientDocsError) as exc:
+    with pytest.raises(
+        SchemaError, match="^class 'ClassA' needs 145 documents but only 100 are available$"
+    ):
         _split(docs)
-    assert exc.value.needed == 145
-    assert exc.value.available == 100
 
 
 def test_split_unseen_bootstrap_is_best_effort() -> None:

@@ -19,7 +19,7 @@ from tagcraft import (
     taxonomy_upsert,
 )
 import tagcraft.model
-from tagcraft.errors import ContrastDroppedAllError, DescriptorParseError, NoDocumentsError
+from tagcraft.errors import ContrastDroppedAllError, DescriptorParseError
 
 
 def _docs(n: int, text: str = "login failed again") -> list[Document]:
@@ -46,7 +46,7 @@ def test_seeded_random_is_deterministic() -> None:
 
 
 def test_sample_requires_documents() -> None:
-    with pytest.raises(NoDocumentsError):
+    with pytest.raises(ValueError, match="^no documents to sample from$"):
         sample_bootstrap([], SamplePlan(SamplingStrategy.SEEDED_RANDOM, 5))
 
 
@@ -98,7 +98,7 @@ def test_bootstrap_taxonomy_suffixes_colliding_names() -> None:
 
 
 def test_bootstrap_taxonomy_missing_label_raises(mock_backend) -> None:
-    with pytest.raises(NoDocumentsError):
+    with pytest.raises(ValueError, match="^no documents labeled 'Ghost'$"):
         bootstrap_taxonomy(
             _docs(3), ["Ghost"], SamplePlan(SamplingStrategy.SEEDED_RANDOM, 1), mock_backend
         )

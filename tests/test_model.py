@@ -20,7 +20,7 @@ from tagcraft import (
     save_taxonomy,
     taxonomy_upsert,
 )
-from tagcraft.errors import EmptyNameError, FileIOError, SchemaError
+from tagcraft.errors import FileIOError, SchemaError
 from tagcraft.model import Category, HistoryEntry, RefinementConfig, name_key, taxonomy_upsert_all
 
 
@@ -41,7 +41,7 @@ def test_normalize_collapses_whitespace_runs() -> None:
 
 
 def test_normalize_empty_raises() -> None:
-    with pytest.raises(EmptyNameError):
+    with pytest.raises(ValueError, match="^category name is empty after normalization$"):
         normalize_name("   ")
 
 
@@ -49,7 +49,7 @@ def test_normalize_empty_raises() -> None:
 def test_normalize_idempotent_property(raw: str) -> None:
     try:
         once = normalize_name(raw)
-    except EmptyNameError:
+    except ValueError:
         return
     assert normalize_name(once) == once
     assert once == once.strip()
@@ -221,7 +221,7 @@ def test_load_rejects_malformed_json(tmp_path) -> None:
 def test_load_rejects_a_file_that_is_not_utf8(tmp_path) -> None:
     path = tmp_path / "latin1.json"
     path.write_bytes('{"version": 1, "categories": [], "note": "café"}'.encode("latin-1"))
-    with pytest.raises(SchemaError, match="is not valid JSON"):
+    with pytest.raises(SchemaError, match="is not UTF-8 text"):
         load_taxonomy(path)
 
 
